@@ -105,10 +105,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _params_payload(params) -> dict:
-    return params.as_dict()
-
-
 def _parse_x(text: str):
     """'p/q' becomes an exact Fraction; anything else parses as float."""
     if "/" in text:
@@ -133,17 +129,13 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _frac_json(value):
-    return str(value) if isinstance(value, Fraction) else value
-
-
 def cmd_params(args) -> Report:
     t = load_laminate(args.file, normalize=args.normalize)
     params = lamination_parameters(t)
     report = Report(
         operation="params",
         inputs={"file": str(args.file), "normalize": args.normalize},
-        payload={"ply_count": t.ply_count, "parameters": _params_payload(params)},
+        payload={"ply_count": t.ply_count, "parameters": params.as_dict()},
     )
     worst = max(abs(v) for v in params.flat())
     report.add_verdict("parameter_bounds", worst, 1.0 + args.tolerance,
@@ -168,8 +160,8 @@ def cmd_combine(args) -> Report:
         },
         payload={
             "ply_count": result.ply_count,
-            "parameters": _params_payload(check.actual),
-            "expected": _params_payload(check.expected),
+            "parameters": check.actual.as_dict(),
+            "expected": check.expected.as_dict(),
             "residuals": list(check.residuals),
             "max_residual": check.max_residual,
         },
@@ -215,11 +207,12 @@ _OSC_T2 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
 def cmd_oscillate(args) -> Report:
     table = oscillation_witness(_OSC_T1, _OSC_T2, args.alpha, args.x,
                                 args.count, cap=args.cap)
-    y = (args.x + 1) / 2 if isinstance(args.x, Fraction) else (args.x + 1.0) / 2.0
+    # exact fractions print as 'p/q' for a rational --x, as numbers for a float
+    fmt = str if isinstance(args.x, Fraction) else float
     payload = {
-        "y": _frac_json(y),
-        "below": [[n, _frac_json(fr)] for n, fr in table.below],
-        "above": [[n, _frac_json(fr)] for n, fr in table.above],
+        "y": fmt((Fraction(args.x) + 1) / 2),
+        "below": [[n, fmt(fr)] for n, fr in table.below],
+        "above": [[n, fmt(fr)] for n, fr in table.above],
         "undefined_at": list(table.undefined_at),
         "angle1": table.angle1,
         "angle2": table.angle2,
@@ -247,16 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, verdict: bool, files: bool):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help="verdict tolerance (default 1e-12)")
-        p.add_argument("--normalize", action="store_true",
-                       help="affinely map file breakpoints onto [-1, 1]")
+        if verdict:
+            p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                           help="verdict tolerance (default 1e-12)")
+        if files:
+            p.add_argument("--normalize", action="store_true",
+                           help="affinely map file breakpoints onto [-1, 1]")
 
     p = sub.add_parser("params", help="lamination parameters of a laminate file")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, verdict=True, files=True)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("combine", help="convex combination of two laminates")
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True,
                    help="weight on the second laminate, in [0, 1]")
     p.add_argument("--out", help="write the constructed laminate here")
-    add_common(p)
+    add_common(p, verdict=True, files=True)
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("gsequence", help="interleaving-sequence convergence table")
@@ -277,18 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cell counts, e.g. 16,32,64")
     p.add_argument("--swap-limit", action="store_true",
                    help="compare against the opposite limit orientation")
-    add_common(p)
+    add_common(p, verdict=False, files=True)
     p.set_defaults(func=cmd_gsequence)
 
     p = sub.add_parser("oscillate", help="pointwise oscillation witnesses")
     p.add_argument("--x", type=_parse_x, required=True,
-                   help="evaluation point; 'p/q' runs exactly (write --x=-1/2)")
+                   help="evaluation point, 'p/q' or a float (write --x=-1/2)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--count", type=int, default=5,
                    help="indices per region (default 5)")
     p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
-                   help="search cap for indices (default 10^7)")
-    add_common(p)
+                   help="largest index accepted (default 10^7)")
+    add_common(p, verdict=False, files=False)
     p.set_defaults(func=cmd_oscillate)
 
     return parser

@@ -57,12 +57,6 @@ class IntervalSplit:
                 "split points not strictly ordered inside the interval: "
                 f"{(self.lo, self.a, self.b, self.c, self.d, self.hi)}")
 
-    def matched_set(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    def complement_set(self) -> tuple[tuple[float, float], ...]:
-        return ((self.lo, self.a), (self.b, self.c), (self.d, self.hi))
-
 
 def matched_split(lo: float, hi: float, fraction: float) -> IntervalSplit:
     """Split (lo, hi) so the matched set carries `fraction` of all three

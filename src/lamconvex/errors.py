@@ -27,12 +27,13 @@ class JOutOfRange(LamConvexError):
 
 
 class SearchCapExceeded(LamConvexError):
-    """No index satisfying the requested fractional-part condition was
-    found at or below the search cap.
+    """No index satisfying the requested fractional-part condition lies
+    at or below the search cap.
 
-    For rational arguments the scan covers a full residue period, so this
-    error also signals provable non-existence (the region contains no
-    multiple of 1/q).
+    The message tells the two causes apart. Either the region contains no
+    multiple of 1/q, where q is the denominator of y, so that no index
+    exists at all; or the first admissible index lies above the cap, and
+    the message names it.
     """
 
     def __init__(self, message: str, cap: int | None = None):

@@ -15,17 +15,19 @@ sits on a partition point, where the interleaved function is undefined.
 For rational x the fractional parts cycle with the denominator, and
 witnesses for both regions come from solving n*p - q*i = j (Bezout).
 For irrational x the fractional parts are dense in [0, 1] (Kronecker),
-so a direct search finds witnesses. Rational inputs are handled in exact
-integer arithmetic throughout; float inputs use a capped search with a
-documented boundary-exclusion tolerance.
+so a search finds witnesses in any region.
+
+Points take one exact number path. Fraction(x) is exact for int, float
+and Fraction alike (a float is a dyadic rational), so y = p/q always, and
+frac(n*y) = (n*p mod q)/q. The witness search counts admissible residues
+with floor sums and bisects on n: O(log^2 q) integer steps, whatever the
+size of q.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
@@ -41,10 +43,6 @@ Number = Union[Fraction, int, float]
 
 DEFAULT_SEARCH_CAP = 10_000_000
 
-# Float-path searches and evaluation refuse points this close to a region
-# boundary; fractional parts of n*y carry O(n * eps) noise.
-BOUNDARY_TOL = 1e-12
-
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
@@ -56,13 +54,11 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
-def _exact(value: Number) -> Fraction | None:
-    """Fraction for exact inputs (Fraction or int), None for floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    return None
+def _exact_y(x: Number) -> Fraction:
+    """y = (x + 1)/2 as an exact Fraction, for x strictly inside (-1, 1)."""
+    if not -1 < x < 1:
+        raise ValueError(f"x = {x} outside (-1, 1)")
+    return (Fraction(x) + 1) / 2
 
 
 def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> StepLaminate:
@@ -102,8 +98,8 @@ def interleave_value(t1: StepLaminate, t2: StepLaminate, alpha: float,
                      n: int, x: Number) -> float:
     """Value of the n-th interleaved laminate at x without building it.
 
-    Rational x is classified exactly; float x uses BOUNDARY_TOL to refuse
-    points indistinguishable from a partition point.
+    x is classified exactly, float or not: the partition point test is an
+    equality of rationals.
 
     Raises:
         UndefinedAtBreakpoint: if x falls on a partition point of the
@@ -112,24 +108,11 @@ def interleave_value(t1: StepLaminate, t2: StepLaminate, alpha: float,
     """
     _check_alpha(alpha)
     _check_n(n)
-    xf = float(x)
-    if not -1.0 < xf < 1.0:
-        raise ValueError(f"x = {x} outside (-1, 1)")
-    exact = _exact(x)
-    if exact is not None:
-        ny = n * (exact + 1) / 2
-        frac = ny - (ny.numerator // ny.denominator)
-        if frac == 0 or frac == alpha:
-            raise UndefinedAtBreakpoint(
-                f"interleaving undefined at x = {x} for n = {n}")
-        below = frac < alpha
-    else:
-        frac = _float_frac(n * (xf + 1.0) / 2.0)
-        if min(frac, 1.0 - frac) < BOUNDARY_TOL or abs(frac - alpha) < BOUNDARY_TOL:
-            raise UndefinedAtBreakpoint(
-                f"interleaving undefined (or numerically ambiguous) at x = {x} for n = {n}")
-        below = frac < alpha
-    return t1.value_at(xf) if below else t2.value_at(xf)
+    frac = n * _exact_y(x) % 1
+    if frac == 0 or frac == alpha:
+        raise UndefinedAtBreakpoint(f"interleaving undefined at x = {x} for n = {n}")
+    source = t1 if frac < alpha else t2
+    return source.value_at(float(x))
 
 
 def bezout_solve(p: int, q: int) -> tuple[int, int]:
@@ -181,51 +164,74 @@ def scaled_bezout_solutions(p: int, q: int, j: int, count: int) -> list[tuple[in
     return [(j * (n0 + k * q), j * (i0 + k * p)) for k in range(count)]
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, a, b >= 0,
+    in O(log m) steps (the floor_sum recurrence of the AtCoder Library,
+    atcoder/math.hpp)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
 def find_n_in_region(y: Number, lo: float, hi: float, n_min: int = 1,
                      cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Smallest n >= n_min whose fractional part of n*y lies strictly in
-    (lo, hi).
+    (lo, hi), provided it is at most `cap`, the largest index accepted.
 
-    Rational y: exact integer arithmetic; since the fractional parts of
-    n*p/q cycle with period q, one period decides existence, and failure
-    within the period (or at the cap) raises immediately.
-    Float y: chunked scan up to `cap` with BOUNDARY_TOL excluded at both
-    region edges.
+    With Fraction(y) % 1 = p/q, frac(n*y) = (n*p mod q)/q, and each
+    residue recurs once in any q consecutive n. The admissible n in
+    [n_min, n_min + k) are counted with two floor sums, and bisection
+    on k over one period finds the first: O(log^2 q) integer steps.
+    The cap bounds the answer, not the work.
 
     Raises:
-        SearchCapExceeded: if no admissible n exists at or below cap.
+        SearchCapExceeded: if (lo, hi) holds no residue r/q, so that no n
+            exists, or if the first admissible n exceeds cap (the message
+            names it).
         ValueError: for a malformed region or n_min < 1.
     """
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError(f"region must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
-    exact = _exact(y)
-    if exact is not None:
-        frac = exact % 1
-        p, q = frac.numerator, frac.denominator
-        last = min(cap, n_min + q - 1)
-        for n in range(n_min, last + 1):
-            value = Fraction((n * p) % q, q)
-            if lo < value < hi:
-                return n
+    frac = Fraction(y) % 1
+    p, q = frac.numerator, frac.denominator
+    first = math.floor(Fraction(lo) * q) + 1  # smallest residue above lo
+    last = math.ceil(Fraction(hi) * q) - 1  # largest residue below hi
+    if first > last:
         raise SearchCapExceeded(
-            f"no n in [{n_min}, {cap}] with fractional part of n*{exact} in "
-            f"({lo}, {hi}); residues have period {q}", cap=cap)
-    yf = float(y)
-    chunk = 1 << 16
-    start = n_min
-    while start <= cap:
-        stop = min(start + chunk, cap + 1)
-        ns = np.arange(start, stop, dtype=np.float64)
-        fr = np.mod(ns * yf, 1.0)
-        hits = np.flatnonzero((fr > lo + BOUNDARY_TOL) & (fr < hi - BOUNDARY_TOL))
-        if hits.size:
-            return int(start + hits[0])
-        start = stop
-    raise SearchCapExceeded(
-        f"no n in [{n_min}, {cap}] with fractional part of n*{yf} in ({lo}, {hi})",
-        cap=cap)
+            f"no n has fractional part of n*{frac} in ({lo}, {hi}): the region "
+            f"contains no multiple of 1/{q}", cap=cap)
+    shift = n_min * p % q
+
+    def count(k: int) -> int:
+        # for a residue r in [0, q): [r >= c] = floor((r + q - c) / q), 0 < c <= q
+        return (_floor_sum(k, q, p, shift + q - first)
+                - _floor_sum(k, q, p, shift + q - last - 1))
+
+    k_lo, k_hi = 1, q
+    while k_lo < k_hi:
+        mid = (k_lo + k_hi) // 2
+        if count(mid):
+            k_hi = mid
+        else:
+            k_lo = mid + 1
+    n = n_min + k_lo - 1
+    if n > cap:
+        raise SearchCapExceeded(
+            f"no n in [{n_min}, {cap}] has fractional part of n*{frac} in "
+            f"({lo}, {hi}); the first is n = {n}", cap=cap)
+    return n
 
 
 @dataclass(frozen=True)
@@ -233,11 +239,15 @@ class WitnessTable:
     """Indices certifying that the interleaved value at x keeps taking
     both sources' values.
 
-    below: (n, fractional part of n*y) with the part strictly in (0, alpha),
-        where the interleaving equals the first source at x.
+    below: (n, exact fractional part of n*y) with the part strictly in
+        (0, alpha), where the interleaving equals the first source at x.
     above: same for (alpha, 1), where it equals the second source.
-    undefined_at: indices n where the interleaving is undefined at x
-        (rational x only; multiples of twice its reduced denominator).
+    undefined_at: the first indices n <= cap where the interleaving is
+        undefined at x, at most `count` of them: the multiples of
+        q = den(y), where frac(n*y) = 0, merged with the n where
+        frac(n*y) = alpha, which exist only when alpha*q is an integer.
+        A float x has a large power-of-two q, so the cap usually leaves
+        this empty.
     angle1 / angle2: the two sources' values at x, None where undefined.
     """
 
@@ -258,56 +268,46 @@ class WitnessTable:
         return self.angle1 != self.angle2
 
 
-def _frac_of(y: Number, n: int) -> Number:
-    exact = _exact(y)
-    if exact is not None:
-        v = n * exact
-        return v % 1
-    return _float_frac(n * float(y))
-
-
 def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
                         x: Number, count: int,
                         cap: int = DEFAULT_SEARCH_CAP) -> WitnessTable:
-    """Search witness indices for both regions at the point x.
+    """The first `count` witness indices of both regions at the point x,
+    each at most `cap`, found in exact arithmetic for any x.
 
-    Rational x (Fraction or int) runs entirely in exact arithmetic; both
-    regions are guaranteed non-empty when 1/den((x+1)/2) is below both
-    alpha and 1 - alpha. Float x searches numerically up to `cap`.
+    Both regions are non-empty when 1/den((x+1)/2) is below both alpha
+    and 1 - alpha; for a float x that denominator is a large power of two.
 
     Raises:
         SearchCapExceeded: from either region's search.
         AlphaOutOfRange, ValueError.
     """
     _check_alpha(alpha)
-    xf = float(x)
-    if not -1.0 < xf < 1.0:
-        raise ValueError(f"x = {x} outside (-1, 1)")
+    y = _exact_y(x)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    exact = _exact(x)
-    y: Number = (exact + 1) / 2 if exact is not None else (xf + 1.0) / 2.0
 
-    def collect(lo: float, hi: float) -> tuple[tuple[int, Number], ...]:
+    def collect(lo: float, hi: float) -> tuple[tuple[int, Fraction], ...]:
         found = []
         n_min = 1
         for _ in range(count):
             n = find_n_in_region(y, lo, hi, n_min=n_min, cap=cap)
-            found.append((n, _frac_of(y, n)))
+            found.append((n, n * y % 1))
             n_min = n + 1
         return tuple(found)
 
     below = collect(0.0, alpha)
     above = collect(alpha, 1.0)
-    if exact is not None:
-        q = exact.denominator
-        undefined = tuple(2 * q * k for k in range(1, count + 1))
-    else:
-        undefined = ()
+    q = y.denominator
+    candidates = [q * k for k in range(1, count + 1)]
+    alpha_q = Fraction(alpha) * q
+    if alpha_q.denominator == 1:
+        first = alpha_q.numerator * pow(y.numerator, -1, q) % q
+        candidates += [first + q * k for k in range(count)]
+    undefined = tuple(n for n in sorted(candidates)[:count] if n <= cap)
 
     def value_or_none(t: StepLaminate) -> float | None:
         try:
-            return t.value_at(xf)
+            return t.value_at(float(x))
         except UndefinedAtBreakpoint:
             return None
 

@@ -33,9 +33,6 @@ class MomentTriple:
     def __add__(self, other: "MomentTriple") -> "MomentTriple":
         return MomentTriple(self.m0 + other.m0, self.m1 + other.m1, self.m2 + other.m2)
 
-    def scaled(self, factor: float) -> "MomentTriple":
-        return MomentTriple(factor * self.m0, factor * self.m1, factor * self.m2)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.m0, self.m1, self.m2)
 

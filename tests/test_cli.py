@@ -122,6 +122,13 @@ class TestGsequence:
         # |2*0.25 - 1| * ... > 0 instead of matching it
         assert json.loads(out)["payload"]["rows"][0]["residual_a"] > 0.1
 
+    def test_rejects_tolerance(self, capsys, cross_pair):
+        f0, f90 = cross_pair
+        with pytest.raises(SystemExit) as exc:
+            main(["gsequence", str(f0), str(f90), "--alpha", "0.5", "--n", "4",
+                  "--tolerance", "1e-9"])
+        assert exc.value.code == 2
+
 
 class TestOscillate:
     def test_rational_witnesses(self, capsys):
@@ -131,7 +138,7 @@ class TestOscillate:
         payload = json.loads(out)["payload"]
         assert payload["below"] == [[1, "1/4"], [5, "1/4"]]
         assert payload["above"] == [[3, "3/4"], [7, "3/4"]]
-        assert payload["undefined_at"] == [4, 8]
+        assert payload["undefined_at"] == [2, 4]
         assert payload["distinct_values"] is True
 
     def test_json_is_byte_deterministic(self, capsys):
@@ -145,6 +152,12 @@ class TestOscillate:
         code, _, err = run_cli(capsys, "oscillate", "--x=0/1", "--alpha", "0.5")
         assert code == 3
         assert "no n" in err
+
+    @pytest.mark.parametrize("option", [["--tolerance", "1e-9"], ["--normalize"]])
+    def test_rejects_options_it_would_ignore(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["oscillate", "--x=-1/2", "--alpha", "0.5", *option])
+        assert exc.value.code == 2
 
     def test_float_point(self, capsys):
         code, out, _ = run_cli(capsys, "oscillate", "--x", "0.4142135623730951",

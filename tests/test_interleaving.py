@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,14 @@ class TestCongruenceSolutions:
             assert 0 <= i <= n - 1
 
 
+def scan_first_n(y, lo, hi, n_min):
+    """Reference search: one full residue period of n*y from n_min."""
+    for n in range(n_min, n_min + y.denominator):
+        if lo < n * y % 1 < hi:
+            return n
+    return None
+
+
 class TestFindN:
     def test_immediate_hit(self):
         assert find_n_in_region(Fraction(1, 4), 0.0, 0.5) == 1
@@ -203,6 +212,13 @@ class TestFindN:
         with pytest.raises(SearchCapExceeded):
             find_n_in_region(Fraction(1, 2), 0.0, 0.4, cap=10**18)
 
+    def test_huge_denominator_is_fast(self):
+        # first n with n/q > 1/2 for q = 2^53 + 1 is (q + 1)/2
+        start = time.perf_counter()
+        n = find_n_in_region(Fraction(1, 2**53 + 1), 0.5, 1.0, cap=10**18)
+        assert time.perf_counter() - start < 0.1
+        assert n == 2**52 + 1
+
     def test_float_path_finds_dense_orbit(self):
         y = math.sqrt(2.0) / 2.0
         n = find_n_in_region(y, 0.49, 0.51)
@@ -212,9 +228,49 @@ class TestFindN:
         with pytest.raises(SearchCapExceeded):
             find_n_in_region(0.5, 0.0, 0.4, cap=2000)
 
+    def test_float_witness_is_exact(self):
+        # In float arithmetic frac(3044602 * y) lies 1e-10 below hi; its
+        # exact value lies 1e-10 above it. The first exact witness is much
+        # later (confirmed by a residue scan).
+        y, lo, hi = 0.7042088723136009, 0.7410637236850656, 0.7410637336850656
+        assert not lo < 3044602 * Fraction(y) % 1 < hi
+        n = find_n_in_region(y, lo, hi, cap=10**8)
+        assert n == 44925155
+        assert lo < n * Fraction(y) % 1 < hi
+
+    def test_empty_region_says_no_n_exists(self):
+        with pytest.raises(SearchCapExceeded, match="no n has .* no multiple of 1/2"):
+            find_n_in_region(Fraction(1, 2), 0.0, 0.4, cap=10**6)
+
+    def test_cap_message_names_first_n(self):
+        with pytest.raises(SearchCapExceeded, match=r"no n in \[1, 100\].*first is n = 501"):
+            find_n_in_region(Fraction(1, 1000), 0.5, 1.0, cap=100)
+        # the float 0.001 is slightly above 1/1000, so 500 * y exceeds 1/2
+        with pytest.raises(SearchCapExceeded, match=r"no n in \[7, 100\].*first is n = 500"):
+            find_n_in_region(0.001, 0.5, 1.0, n_min=7, cap=100)
+
     def test_validates_region(self):
         with pytest.raises(ValueError):
             find_n_in_region(Fraction(1, 3), 0.6, 0.4)
+
+    @settings(max_examples=300)
+    @given(st.integers(min_value=1, max_value=3000), st.data())
+    def test_matches_residue_scan(self, q, data):
+        p = data.draw(st.integers(min_value=0, max_value=q - 1).filter(
+            lambda v: math.gcd(v, q) == 1))
+        y = Fraction(p, q) + data.draw(st.integers(min_value=0, max_value=3))
+        den = data.draw(st.sampled_from([q, 2 * q, data.draw(st.integers(1, 5000))]))
+        a = data.draw(st.integers(min_value=0, max_value=den - 1))
+        b = data.draw(st.integers(min_value=a + 1, max_value=den))
+        lo, hi = Fraction(a, den), Fraction(b, den)
+        n_min = data.draw(st.integers(min_value=1, max_value=10**6))
+        cap = data.draw(st.integers(min_value=1, max_value=n_min + 2 * q))
+        want = scan_first_n(y, lo, hi, n_min)
+        if want is not None and want <= cap:
+            assert find_n_in_region(y, lo, hi, n_min=n_min, cap=cap) == want
+        else:
+            with pytest.raises(SearchCapExceeded, match="no n"):
+                find_n_in_region(y, lo, hi, n_min=n_min, cap=cap)
 
 
 class TestOscillationWitness:
@@ -222,7 +278,7 @@ class TestOscillationWitness:
         table = oscillation_witness(T0, T90, 0.5, Fraction(-1, 2), 2)
         assert table.below == ((1, Fraction(1, 4)), (5, Fraction(1, 4)))
         assert table.above == ((3, Fraction(3, 4)), (7, Fraction(3, 4)))
-        assert table.undefined_at == (4, 8)
+        assert table.undefined_at == (2, 4)
         assert table.distinct_values is True
 
     def test_witnesses_select_each_source(self):
@@ -246,6 +302,23 @@ class TestOscillationWitness:
             assert frac == pytest.approx((n * y) % 1.0)
         for n, frac in table.above:
             assert 0.5 < frac < 1.0
+
+    @pytest.mark.parametrize("x,alpha", [(Fraction(-1, 3), 0.5), (Fraction(-1, 2), 0.5),
+                                         (Fraction(1, 5), 0.25), (Fraction(-1, 4), 0.25),
+                                         (Fraction(1, 4), 0.375), (Fraction(-3, 7), 0.375)])
+    def test_undefined_at_is_every_undefined_index(self, x, alpha):
+        table = oscillation_witness(T0, T90, alpha, x, 6, cap=60)
+        undefined = []
+        for n in range(1, 61):
+            try:
+                interleave_value(T0, T90, alpha, n, x)
+            except UndefinedAtBreakpoint:
+                undefined.append(n)
+        assert table.undefined_at == tuple(undefined[:6])
+
+    def test_undefined_at_stops_at_cap(self):
+        table = oscillation_witness(T0, T90, 0.5, Fraction(-1, 3), 4, cap=11)
+        assert table.undefined_at == (3, 6, 9)
 
     def test_vacuous_when_sources_agree(self):
         table = oscillation_witness(T0, T0, 0.5, Fraction(-1, 2), 2)
