@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     AlphaOutOfRange,
     JOutOfRange,
@@ -37,7 +39,7 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, blend, lamination_parameters
-from .step import StepLaminate, merge_close
+from .step import StepLaminate, _angle_index, _midpoints, merge_close
 
 Number = Union[Fraction, int, float]
 
@@ -66,32 +68,27 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
 
     Cell i spans (-1 + 2i/n, -1 + 2(i+1)/n); its first fraction alpha
     takes t1's values and the remainder takes t2's. Breakpoints of t1 and
-    t2 are folded in so the result is a valid step laminate.
+    t2 are folded in so the result is a valid step laminate; edges closer
+    than BREAKPOINT_MERGE_TOL merge as in `merge_close`. Each piece takes
+    its source and angle at its midpoint; a midpoint that lands on a
+    merged-away breakpoint takes the angle to its right.
     """
     _check_alpha(alpha)
     _check_n(n)
-    span = 2.0 * alpha / n
-    raw = []
-    for i in range(n):
-        left = -1.0 + (2.0 * i) / n
-        raw.append(left)
-        raw.append(left + span)
-    raw.append(1.0)
-    raw.extend(t1.breakpoints[1:-1])
-    raw.extend(t2.breakpoints[1:-1])
-    raw.sort()
-    edges = merge_close(raw)
-    pieces = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        frac = _float_frac(n * (mid + 1.0) / 2.0)
-        src = t1 if frac < alpha else t2
-        pieces.append((hi, src.value_at(mid)))
-    return StepLaminate.from_pieces(pieces)
-
-
-def _float_frac(v: float) -> float:
-    return v - math.floor(v)
+    left = -1.0 + (2.0 * np.arange(n, dtype=np.float64)) / n
+    raw = np.concatenate((left, left + 2.0 * alpha / n, [1.0],
+                          t1.breakpoints[1:-1], t2.breakpoints[1:-1]))
+    raw.sort(kind="stable")
+    bps = merge_close(raw.tolist())
+    mids = _midpoints(np.array(bps))
+    v = n * (mids + 1.0) / 2.0
+    first = v - np.floor(v) < alpha
+    index = np.where(first, _angle_index(t1, mids), _angle_index(t2, mids) + t1.ply_count)
+    angles = np.array(t1.angles + t2.angles, dtype=object)[index]
+    # merge_close leaves no gap below the merge tolerance, so no piece is
+    # a sliver; only the end is snapped to 1, as from_pieces does.
+    bps[-1] = 1.0
+    return StepLaminate(tuple(bps), tuple(angles))
 
 
 def interleave_value(t1: StepLaminate, t2: StepLaminate, alpha: float,

@@ -17,11 +17,11 @@ composite midpoint sampling and serves as an independent cross-check.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .step import StepLaminate, moments
+from .step import StepLaminate
 
 # Scale factors for the z^0, z^1, z^2 weighted families.
 _PREFACTORS = (0.5, 1.0, 1.5)
@@ -58,22 +58,69 @@ def trig_values(angle: float) -> tuple[float, float, float, float]:
     )
 
 
+# Intervals per block of the moment kernel. It bounds the kernel's
+# temporaries to about 1 MB, whatever the ply count.
+_BLOCK = 1 << 13
+
+# Denominators of the closed-form moments of order 0, 1, 2.
+_ORDERS = np.array([[1.0], [2.0], [3.0]])
+
+
+def _exact_moments(edges: np.ndarray) -> np.ndarray:
+    """3 x B closed-form moments of the B intervals between consecutive
+    edges, with the float operations of `moments`."""
+    powers = np.empty((3, edges.size))
+    powers[0] = edges
+    np.multiply(edges, edges, out=powers[1])
+    np.multiply(powers[1], edges, out=powers[2])
+    return (powers[:, 1:] - powers[:, :-1]) / _ORDERS
+
+
+def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
+                 interval_moments: Callable[[np.ndarray], np.ndarray] = _exact_moments,
+                 block: int = _BLOCK) -> list[list[float]]:
+    """k x 3 moment sums over the intervals of t.
+
+    `rows` maps a run of B angles to their k x B values. Entry [r][j] is
+    the sum over intervals i of value r of angle i times the order-j
+    moment of interval i. The laminate is taken `block` intervals at a
+    time, so no temporary grows with the ply count. Each block is summed
+    pairwise (np.sum, error growing like log2(block) * u), and math.fsum
+    adds the block sums with a single rounding.
+    """
+    parts = []
+    for start in range(0, t.ply_count, block):
+        edges = np.array(t.breakpoints[start:start + block + 1])
+        values = rows(t.angles[start:start + block])
+        parts.append((values[:, np.newaxis] * interval_moments(edges)).sum(axis=-1))
+    k = parts[0].shape[0]
+    columns = np.array(parts).reshape(len(parts), 3 * k).T.tolist()
+    totals = [math.fsum(c) for c in columns]
+    return [totals[3 * r:3 * r + 3] for r in range(k)]
+
+
+def _trig_rows(angles: Sequence[float]) -> np.ndarray:
+    """4 x B array of (cos 2a, cos 4a, sin 2a, sin 4a), as `trig_values`."""
+    a = np.fromiter(angles, np.float64, len(angles))
+    x = np.multiply.outer((2.0, 4.0), a)
+    rows = np.empty((4, a.size))
+    np.cos(x, out=rows[:2])
+    np.sin(x, out=rows[2:])
+    return rows
+
+
 def weighted_moments(t: StepLaminate,
                      f: Callable[[float], float]) -> tuple[float, float, float]:
     """integral f(theta(z)) z^j dz for j = 0, 1, 2, for any f.
 
     Exact for step functions: each interval contributes f(angle) times the
-    closed-form interval moment. This generic entry point backs the trig
-    parameters and lets tests drive the same machinery with arbitrary f.
+    closed-form interval moment. This generic entry point runs the same
+    kernel as the trig parameters and lets tests drive it with arbitrary f.
     """
-    s0 = s1 = s2 = 0.0
-    for lo, hi, angle in t.intervals():
-        fv = f(angle)
-        m = moments(lo, hi)
-        s0 += fv * m.m0
-        s1 += fv * m.m1
-        s2 += fv * m.m2
-    return (s0, s1, s2)
+    def rows(angles: Sequence[float]) -> np.ndarray:
+        return np.fromiter(map(f, angles), np.float64, len(angles))[np.newaxis]
+
+    return tuple(_moment_sums(t, rows)[0])
 
 
 def _from_sums(sums) -> LamParams:
@@ -90,17 +137,7 @@ def lamination_parameters(t: StepLaminate) -> LamParams:
     No quadrature is involved: per interval the four trig values multiply
     the closed-form moments, and the contributions are summed.
     """
-    sums = [[0.0, 0.0, 0.0] for _ in range(4)]
-    for lo, hi, angle in t.intervals():
-        m = moments(lo, hi).as_tuple()
-        tv = trig_values(angle)
-        for k in range(4):
-            fk = tv[k]
-            row = sums[k]
-            row[0] += fk * m[0]
-            row[1] += fk * m[1]
-            row[2] += fk * m[2]
-    return _from_sums(sums)
+    return _from_sums(_moment_sums(t, _trig_rows))
 
 
 def quadrature_parameters(t: StepLaminate, samples_per_interval: int) -> LamParams:
@@ -117,21 +154,17 @@ def quadrature_parameters(t: StepLaminate, samples_per_interval: int) -> LamPara
     if samples_per_interval < 1:
         raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval}")
     m = int(samples_per_interval)
-    sums = [[0.0, 0.0, 0.0] for _ in range(4)]
-    for lo, hi, angle in t.intervals():
-        h = (hi - lo) / m
-        z = lo + h * (np.arange(m, dtype=np.float64) + 0.5)
-        s0 = h * m
-        s1 = h * float(z.sum())
-        s2 = h * float((z * z).sum())
-        tv = trig_values(angle)
-        for k in range(4):
-            fk = tv[k]
-            row = sums[k]
-            row[0] += fk * s0
-            row[1] += fk * s1
-            row[2] += fk * s2
-    return _from_sums(sums)
+    offsets = np.arange(m, dtype=np.float64) + 0.5
+
+    def sampled_moments(edges: np.ndarray) -> np.ndarray:
+        h = (edges[1:] - edges[:-1]) / m
+        z = np.multiply.outer(h, offsets)
+        z += edges[:-1, np.newaxis]
+        s1 = z.sum(axis=1)
+        z *= z
+        return np.stack((h * m, h * s1, h * z.sum(axis=1)))
+
+    return _from_sums(_moment_sums(t, _trig_rows, sampled_moments, block=max(1, _BLOCK // m)))
 
 
 def blend(p: LamParams, q: LamParams, weight_on_first: float) -> LamParams:

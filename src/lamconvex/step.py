@@ -9,7 +9,11 @@ measure and every downstream quantity is an integral.
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
 
@@ -68,8 +72,8 @@ class StepLaminate:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        angs = tuple(float(a) for a in self.angles)
+        bps = _float_tuple(self.breakpoints)
+        angs = _float_tuple(self.angles)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "angles", angs)
         if len(bps) < 2:
@@ -79,19 +83,22 @@ class StepLaminate:
                 f"{len(angs)} angles for {len(bps)} breakpoints (expected {len(bps) - 1})",
                 field="angles",
             )
-        for i, b in enumerate(bps):
-            if not math.isfinite(b):
-                raise InvariantViolation(f"breakpoints[{i}] = {b} is not finite",
-                                         field="breakpoints", index=i)
-        for i, a in enumerate(angs):
-            if not math.isfinite(a):
-                raise InvariantViolation(f"angles[{i}] = {a} is not finite",
-                                         field="angles", index=i)
-        for i in range(len(bps) - 1):
-            if not bps[i] < bps[i + 1]:
-                raise InvariantViolation(
-                    f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}",
-                    field="breakpoints", index=i + 1)
+        # One array at a time: the largest laminates are validated here,
+        # so bps is converted again for the ordering check.
+        i = _first_false(np.isfinite(_array(bps)))
+        if i is not None:
+            raise InvariantViolation(f"breakpoints[{i}] = {bps[i]} is not finite",
+                                     field="breakpoints", index=i)
+        i = _first_false(np.isfinite(_array(angs)))
+        if i is not None:
+            raise InvariantViolation(f"angles[{i}] = {angs[i]} is not finite",
+                                     field="angles", index=i)
+        b = _array(bps)
+        i = _first_false(b[:-1] < b[1:])
+        if i is not None:
+            raise InvariantViolation(
+                f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}",
+                field="breakpoints", index=i + 1)
         if bps[0] != -1.0:
             raise InvariantViolation(f"first breakpoint must be -1, got {bps[0]}",
                                      field="breakpoints", index=0)
@@ -136,23 +143,23 @@ class StepLaminate:
         of thickness is absorbed by the neighbouring piece. The final right
         edge must be 1 (within tolerance) and is snapped to exactly 1.0.
         """
-        edges = [-1.0]
-        angles: list[float] = []
-        last_right = -1.0
-        for right, angle in pieces:
-            last_right = right
-            if right - edges[-1] < BREAKPOINT_MERGE_TOL:
-                continue
-            edges.append(right)
-            angles.append(angle)
+        if not isinstance(pieces, (list, tuple)):
+            pieces = list(pieces)
+        rights = np.fromiter(map(itemgetter(0), pieces), np.float64, len(pieces))
+        keep = _kept(rights, -1.0, BREAKPOINT_MERGE_TOL).tolist()
+        del rights
+        last_right = pieces[-1][0] if pieces else -1.0
         if abs(last_right - 1.0) > BREAKPOINT_MERGE_TOL:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
                                      field="breakpoints")
+        angles = tuple(compress(map(itemgetter(1), pieces), keep))
         if not angles:
             raise InvariantViolation("no piece wider than the merge tolerance",
                                      field="angles")
-        edges[-1] = 1.0
-        return cls(tuple(edges), tuple(angles))
+        inner = islice(compress(map(itemgetter(0), pieces), keep), len(angles) - 1)
+        edges = tuple(chain((-1.0,), inner, (1.0,)))
+        del keep  # free before validation copies both tuples
+        return cls(edges, angles)
 
 
 @dataclass(frozen=True)
@@ -173,13 +180,15 @@ class RefinedPair:
 def merge_close(sorted_values: Sequence[float],
                 tol: float = BREAKPOINT_MERGE_TOL) -> list[float]:
     """Collapse runs of near-coincident values, keeping the smallest of
-    each run. Input must be sorted ascending; the last kept value is
-    snapped back to the overall maximum so interval ends survive merging.
+    each run. A value survives when it lies at least tol above the last
+    value kept, so a run of steps each below tol can still keep some of
+    its values. Input must be finite and sorted ascending; the last kept
+    value is snapped back to the overall maximum so interval ends survive
+    merging. The output holds the input's own objects.
     """
-    out = [sorted_values[0]]
-    for v in sorted_values[1:]:
-        if v - out[-1] >= tol:
-            out.append(v)
+    values = np.asarray(sorted_values, dtype=np.float64)
+    keep = _kept(values[1:], values[0], tol).tolist()
+    out = [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
     out[-1] = sorted_values[-1]
     return out
 
@@ -189,17 +198,76 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     input's constant value recorded per refinement interval.
 
     Breakpoints of the two inputs closer than BREAKPOINT_MERGE_TOL are
-    merged (smaller kept).
+    merged (smaller kept). Each refinement interval takes each input's
+    angle at its midpoint; a midpoint that lands on a merged-away
+    breakpoint takes the angle to its right.
     """
-    union = sorted(t1.breakpoints + t2.breakpoints)
-    bps = merge_close(union)
-    angles1 = []
-    angles2 = []
-    for lo, hi in zip(bps, bps[1:]):
-        mid = 0.5 * (lo + hi)
-        angles1.append(t1.value_at(mid))
-        angles2.append(t2.value_at(mid))
-    return RefinedPair(tuple(bps), tuple(angles1), tuple(angles2))
+    bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
+    mids = _midpoints(np.array(bps))
+    return RefinedPair(tuple(bps), _angles_at(t1, mids), _angles_at(t2, mids))
+
+
+def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
+    """values as a tuple of floats; a tuple of floats is returned as is."""
+    if type(values) is tuple and set(map(type, values)) <= {float}:
+        return values
+    return tuple(map(float, values))
+
+
+def _array(values: Sequence[float]) -> np.ndarray:
+    return np.fromiter(values, np.float64, len(values))
+
+
+def _first_false(mask: np.ndarray) -> int | None:
+    """Index of the first False entry of a boolean array, or None."""
+    i = int(np.argmin(mask))
+    return None if mask[i] else i
+
+
+def _kept(values: np.ndarray, start: float, tol: float) -> np.ndarray:
+    """Mask of the values that a left-to-right scan keeps when it keeps a
+    value unless it lies less than tol above the last value kept, with
+    `start` kept before values[0].
+
+    A value at least tol above every earlier value is kept whatever the
+    scan kept before it. Only the others, the runs of close values, are
+    decided one by one, in order.
+    """
+    gap = np.empty_like(values)
+    gap[:1] = start
+    gap[1:] = values[:-1]
+    np.maximum.accumulate(gap, out=gap)
+    np.subtract(values, gap, out=gap)
+    keep = gap >= tol
+    unsure = np.flatnonzero(~keep)
+    if unsure.size:
+        # last_sure[i]: the last index before i that the test above kept, or -1
+        last_sure = np.where(keep, np.arange(values.size), -1)
+        np.maximum.accumulate(last_sure, out=last_sure)
+        last = -1
+        for i in unsure.tolist():
+            j = max(last, int(last_sure[i]))
+            ref = values[j] if j >= 0 else start
+            if not values[i] - ref < tol:
+                keep[i] = True
+                last = i
+    return keep
+
+
+def _midpoints(edges: np.ndarray) -> np.ndarray:
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _angle_index(t: StepLaminate, points: np.ndarray) -> np.ndarray:
+    """Index of the interval of t holding each point of [-1, 1); a point on
+    a breakpoint belongs to the interval to its right."""
+    return np.searchsorted(_array(t.breakpoints), points, side="right") - 1
+
+
+def _angles_at(t: StepLaminate, points: np.ndarray) -> tuple[float, ...]:
+    """t's angle at each point (see `_angle_index`): the float objects of
+    t.angles themselves, not copies."""
+    return tuple(np.array(t.angles, dtype=object)[_angle_index(t, points)])
 
 
 def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:

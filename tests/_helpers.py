@@ -1,10 +1,11 @@
 """Shared builders for randomized and property-based tests."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from lamconvex import StepLaminate, lamination_parameters
+from lamconvex import StepLaminate, lamination_parameters, trig_values
 
 
 def random_laminate(rng, max_plies=8, angle_span=math.pi, min_gap=1e-6):
@@ -17,6 +18,45 @@ def random_laminate(rng, max_plies=8, angle_span=math.pi, min_gap=1e-6):
             break
     angles = tuple(rng.uniform(-angle_span, angle_span) for _ in range(plies))
     return StepLaminate(tuple(bps), angles)
+
+
+def ply_laminate(rng, plies, angles_deg=(0.0, 45.0, -45.0, 90.0)):
+    """Random laminate with exactly `plies` plies: uniform interior
+    breakpoints, angles drawn from a ply table."""
+    interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(plies - 1))
+    angles = tuple(math.radians(rng.choice(angles_deg)) for _ in range(plies))
+    return StepLaminate((-1.0, *interior, 1.0), angles)
+
+
+def exact_parameters(t) -> list[Fraction]:
+    """The twelve parameters [A1..A4, B1..B4, D1..D4] of t as exact
+    rationals.
+
+    Every breakpoint is a dyadic rational; scaled by one common power of
+    two they become integers, and per distinct angle the sums of
+    hi^j - lo^j (j = 1, 2, 3) are taken in integers. The trig values are
+    the floats the package computes (`trig_values`), taken exactly from
+    there, so a gap to this reference is summation and moment round-off.
+    """
+    ratios = [b.as_integer_ratio() for b in t.breakpoints]
+    bits = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (bits - den.bit_length() + 1) for num, den in ratios]
+    sums: dict = {}
+    for lo, hi, angle in zip(ints, ints[1:], t.angles):
+        s = sums.setdefault(angle, [0, 0, 0])
+        s[0] += hi - lo
+        s[1] += hi * hi - lo * lo
+        s[2] += hi * hi * hi - lo * lo * lo
+    out = [Fraction(0)] * 12
+    for angle, s in sums.items():
+        tv = [Fraction(v) for v in trig_values(angle)]
+        for j in range(3):
+            # the prefactors 1/2, 1, 3/2 times the moment denominators
+            # 1, 2, 3 leave 1/2 for every order
+            moment = Fraction(s[j], 2 << (bits * (j + 1)))
+            for k in range(4):
+                out[4 * j + k] += tv[k] * moment
+    return out
 
 
 def max_param_diff(p, q) -> float:
@@ -42,3 +82,20 @@ def laminates(draw, max_plies=6):
     bps = (-1.0, *sorted(interior), 1.0)
     angles = tuple(draw(st.lists(angles_strategy, min_size=plies, max_size=plies)))
     return StepLaminate(bps, angles)
+
+
+@st.composite
+def close_laminates(draw, max_plies=7):
+    """Laminate strategy with near-coincident breakpoints: 1e-3 grid
+    points, some with a neighbour 1e-15 to 1e-11 above them, so that some
+    gaps fall below the 1e-12 merge tolerance and some just above it."""
+    grid = draw(st.lists(
+        st.integers(min_value=-999, max_value=998).map(lambda k: k / 1000.0),
+        min_size=0, max_size=(max_plies - 1) // 2, unique=True))
+    gaps = draw(st.lists(st.floats(min_value=-15.0, max_value=-11.0).map(lambda e: 10.0**e),
+                         min_size=len(grid), max_size=len(grid)))
+    paired = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    interior = sorted({*grid, *(b + g for b, g, p in zip(grid, gaps, paired) if p)})
+    angles = tuple(draw(st.lists(angles_strategy, min_size=len(interior) + 1,
+                                 max_size=len(interior) + 1)))
+    return StepLaminate((-1.0, *interior, 1.0), angles)

@@ -27,7 +27,7 @@ from lamconvex import (
 )
 from lamconvex.cli import main as cli_main
 
-from _helpers import max_param_diff, random_laminate
+from _helpers import max_param_diff, ply_laminate, random_laminate
 
 BOUND_SLACK = 1e-12
 WIDTH_ULPS = 2.0**-51
@@ -177,6 +177,23 @@ def test_interleaving_convergence():
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] interleaving-convergence: PASS "
           f"(n up to 4096, final distance {rows[-1].residual_max:.3e}, {elapsed:.2f}s)")
+
+
+def test_interleaving_at_scale():
+    rng = random.Random(2024_10)
+    t1, t2 = ply_laminate(rng, 28), ply_laminate(rng, 32)
+    ns = [2**k for k in range(10, 18)]
+    start = time.perf_counter()
+    rows = convergence_table(t1, t2, 0.75, ns)
+    elapsed = time.perf_counter() - start
+    for row in rows:
+        record(row.params)
+    # the distance shrinks like 1/n: ask for a 16-fold drop over 128-fold n
+    assert rows[-1].residual_max <= rows[0].residual_max / 16
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
+    print(f"\n[acceptance] interleaving-at-scale: PASS "
+          f"(28/32 plies, n up to {ns[-1]}, final distance {rows[-1].residual_max:.3e}, "
+          f"{elapsed:.2f}s)")
 
 
 def test_cli_round_trip(tmp_path, capsys):

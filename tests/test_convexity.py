@@ -115,6 +115,13 @@ class TestConvexCombine:
             assert got.breakpoints == want.breakpoints
             assert got.angles == want.angles
 
+    def test_refinement_midpoint_on_merged_away_breakpoint(self):
+        t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
+        t2 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
+        for alpha in (0.25, 0.5, 0.75):
+            report = verify_combination(t1, t2, alpha, convex_combine(t1, t2, alpha))
+            assert report.passed, (alpha, report.max_residual)
+
     def test_cross_pair_midpoint(self):
         t1 = StepLaminate((-1.0, 1.0), (0.0,))
         t2 = StepLaminate((-1.0, 1.0), (math.pi / 2,))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
+    BREAKPOINT_MERGE_TOL,
     AlphaOutOfRange,
     JOutOfRange,
     NotCoprime,
@@ -26,7 +27,13 @@ from lamconvex import (
     scaled_bezout_solutions,
 )
 
-from _helpers import random_laminate
+from _helpers import (
+    close_laminates,
+    exact_parameters,
+    laminates,
+    ply_laminate,
+    random_laminate,
+)
 
 T0 = StepLaminate((-1.0, 1.0), (0.0,))
 T90 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
@@ -68,6 +75,64 @@ class TestInterleave:
             interleave(T0, T90, 1.0, 4)
         with pytest.raises(ValueError):
             interleave(T0, T90, 0.5, 0)
+
+    def test_midpoint_on_merged_away_breakpoint(self):
+        # 0 and 7.5e-13 merge; the piece (0, 1.5e-12) has its midpoint on
+        # the dropped 7.5e-13 and takes the angle to its right
+        t1 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
+        t2 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
+        t = interleave(t1, t2, 0.5, 2)
+        assert t.breakpoints == (-1.0, -0.5, 0.0, 1.5e-12, 0.5, 1.0)
+        assert t.angles == (0.0, 0.0, 1.0, 0.5, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(laminates(), close_laminates()), st.one_of(laminates(), close_laminates()),
+           st.one_of(st.floats(min_value=1e-3, max_value=0.999),
+                     st.sampled_from([1e-13, 0.5 - 1e-13, 0.5, 1.0 - 2.0**-53])),
+           st.integers(min_value=1, max_value=64))
+    def test_matches_loop_reference(self, t1, t2, alpha, n):
+        try:
+            want_bps, want_angles = loop_interleave(t1, t2, alpha, n)
+        except UndefinedAtBreakpoint:
+            return
+        got = interleave(t1, t2, alpha, n)
+        assert got.breakpoints == want_bps
+        assert got.angles == want_angles
+
+    @pytest.mark.parametrize("n", [2**16, 2**17])
+    def test_parameters_match_exact_reference(self, n):
+        rng = random.Random(16_24)
+        t = interleave(ply_laminate(rng, 16), ply_laminate(rng, 24), 0.3, n)
+        got = lamination_parameters(t).flat()
+        worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
+        assert worst <= 1e-12, worst
+
+
+def loop_interleave(t1, t2, alpha, n):
+    """The per-piece loop that `interleave` replaced, as its reference:
+    (breakpoints, angles). Raises UndefinedAtBreakpoint where it did."""
+    raw = []
+    for i in range(n):
+        left = -1.0 + (2.0 * i) / n
+        raw += [left, left + 2.0 * alpha / n]
+    raw = sorted(raw + [1.0] + list(t1.breakpoints[1:-1]) + list(t2.breakpoints[1:-1]))
+    edges = [raw[0]]
+    for v in raw[1:]:
+        if v - edges[-1] >= BREAKPOINT_MERGE_TOL:
+            edges.append(v)
+    edges[-1] = raw[-1]
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        v = n * (mid + 1.0) / 2.0
+        pieces.append((hi, (t1 if v - math.floor(v) < alpha else t2).value_at(mid)))
+    out_bps, out_angles = [-1.0], []
+    for right, angle in pieces:
+        if right - out_bps[-1] >= BREAKPOINT_MERGE_TOL:
+            out_bps.append(right)
+            out_angles.append(angle)
+    out_bps[-1] = 1.0
+    return tuple(out_bps), tuple(out_angles)
 
 
 class TestInterleaveValue:

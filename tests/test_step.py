@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lamconvex import (
+    BREAKPOINT_MERGE_TOL,
     DegenerateInterval,
     InvariantViolation,
     StepLaminate,
@@ -16,8 +17,9 @@ from lamconvex import (
     refine,
     simplify,
 )
+from lamconvex.step import merge_close
 
-from _helpers import laminates, random_laminate
+from _helpers import close_laminates, laminates, random_laminate
 
 
 def midpoint_moment_oracle(lo, hi, j, samples=10**6):
@@ -88,6 +90,33 @@ class TestStepLaminate:
         with pytest.raises(InvariantViolation):
             StepLaminate((-1.0, 1.0), (math.inf,))
 
+    def test_stores_plain_float_tuples(self):
+        t = StepLaminate([-1, np.float64(0.5), 1], (0, 0.25))
+        assert t.breakpoints == (-1.0, 0.5, 1.0)
+        assert {type(v) for v in t.breakpoints + t.angles} == {float}
+        floats = (-1.0, 0.5, 1.0)
+        assert StepLaminate(floats, (0.0, 0.25)).breakpoints is floats
+
+    @pytest.mark.parametrize("bps,angles,field,index,message", [
+        ((1.0,), (), "breakpoints", None, "need at least two breakpoints"),
+        ((-1.0, 1.0), (0.0, 1.0), "angles", None, "2 angles for 2 breakpoints (expected 1)"),
+        ((-math.inf, 0.0, 1.0), (0.0, 1.0), "breakpoints", 0, "breakpoints[0] = -inf is not finite"),
+        ((-1.0, 0.5, math.nan, 0.2, math.inf), (0.0,) * 4, "breakpoints", 2,
+         "breakpoints[2] = nan is not finite"),
+        ((-1.0, 0.5, 0.2, 1.0), (0.0, math.nan, math.inf), "angles", 1,
+         "angles[1] = nan is not finite"),
+        ((-1.0, 0.5, 0.5, 1.0), (0.0, 1.0, 2.0), "breakpoints", 2,
+         "breakpoints[1] = 0.5 not below breakpoints[2] = 0.5"),
+        ((-1.0, 0.5, 0.2, 0.1, 1.0), (0.0,) * 4, "breakpoints", 2,
+         "breakpoints[1] = 0.5 not below breakpoints[2] = 0.2"),
+        ((-0.9, 1.0), (0.0,), "breakpoints", 0, "first breakpoint must be -1, got -0.9"),
+        ((-1.0, 0.0, 0.9), (0.0, 1.0), "breakpoints", 2, "last breakpoint must be 1, got 0.9"),
+    ])
+    def test_reports_first_offending_entry(self, bps, angles, field, index, message):
+        with pytest.raises(InvariantViolation) as info:
+            StepLaminate(bps, angles)
+        assert (info.value.field, info.value.index, str(info.value)) == (field, index, message)
+
     def test_value_at_interior(self):
         t = StepLaminate((-1.0, 0.0, 1.0), (0.5, 1.5))
         assert t.value_at(-0.3) == 0.5
@@ -117,6 +146,44 @@ class TestStepLaminate:
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
             StepLaminate.from_pieces([(0.0, 0.3)])
+
+    def test_from_pieces_two_slivers_in_a_row(self):
+        # each piece is measured from the last kept edge: the second
+        # sliver is 1.2e-12 above 0 and survives, a 0.8e-12 one does not
+        t = StepLaminate.from_pieces([(0.0, 0.1), (0.6e-12, 0.2), (1.2e-12, 0.3), (1.0, 0.4)])
+        assert t.breakpoints == (-1.0, 0.0, 1.2e-12, 1.0)
+        assert t.angles == (0.1, 0.3, 0.4)
+        t = StepLaminate.from_pieces([(0.0, 0.1), (0.4e-12, 0.2), (0.8e-12, 0.3), (1.0, 0.4)])
+        assert t.breakpoints == (-1.0, 0.0, 1.0)
+        assert t.angles == (0.1, 0.4)
+
+    @given(st.lists(st.sampled_from([-0.3, -0.7e-12, 0.0, 0.4e-12, 0.9e-12, 1.1e-12, 0.25]),
+                    max_size=14))
+    def test_from_pieces_matches_loop_reference(self, steps):
+        # rights that cluster, repeat and step back, then a last piece at 1
+        rights = [-0.5 + sum(steps[:i + 1]) for i in range(len(steps))] + [1.0]
+        pieces = [(r, float(i)) for i, r in enumerate(rights)]
+        edges, angles = [-1.0], []
+        for right, angle in pieces:
+            if not right - edges[-1] < BREAKPOINT_MERGE_TOL:
+                edges.append(right)
+                angles.append(angle)
+        edges[-1] = 1.0
+
+        def outcome(build):
+            try:
+                t = build()
+            except InvariantViolation as exc:
+                return exc.field, exc.index, str(exc)
+            return t.breakpoints, t.angles
+
+        assert outcome(lambda: StepLaminate.from_pieces(pieces)) == \
+            outcome(lambda: StepLaminate(tuple(edges), tuple(angles)))
+
+    def test_from_pieces_keeps_angle_objects(self):
+        angle = math.pi / 7
+        t = StepLaminate.from_pieces([(0.0, angle), (1.0, 0.5)])
+        assert t.angles[0] is angle
 
     def test_mirrored_is_involution(self):
         rng = random.Random(5)
@@ -181,6 +248,50 @@ class TestRefine:
         t2 = StepLaminate((-1.0, 0.5 + 1e-13, 1.0), (0.3, 0.4))
         rp = refine(t1, t2)
         assert rp.breakpoints == (-1.0, 0.5, 1.0)
+
+    def test_midpoint_on_merged_away_breakpoint(self):
+        # 7.5e-13 merges into 0; the midpoint of (0, 1.5e-12) lands on it
+        # and takes t2's angle to its right
+        t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
+        t2 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
+        rp = refine(t1, t2)
+        assert rp.breakpoints == (-1.0, 0.0, 1.5e-12, 1.0)
+        assert rp.angles1 == (0.0, 1.0, 1.0)
+        assert rp.angles2 == (0.0, 1.0, 0.5)
+
+    @given(close_laminates(), close_laminates())
+    def test_matches_loop_reference(self, t1, t2):
+        union = sorted(t1.breakpoints + t2.breakpoints)
+        bps = [union[0]]
+        for v in union[1:]:
+            if v - bps[-1] >= BREAKPOINT_MERGE_TOL:
+                bps.append(v)
+        bps[-1] = union[-1]
+        mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
+        try:
+            want1 = tuple(t1.value_at(m) for m in mids)
+            want2 = tuple(t2.value_at(m) for m in mids)
+        except UndefinedAtBreakpoint:
+            return
+        rp = refine(t1, t2)
+        assert (rp.breakpoints, rp.angles1, rp.angles2) == (tuple(bps), want1, want2)
+
+
+class TestMergeClose:
+    def test_measures_from_last_kept_value(self):
+        assert merge_close([0.0, 0.6e-12, 1.2e-12, 1.0]) == [0.0, 1.2e-12, 1.0]
+
+    def test_snaps_last_to_maximum(self):
+        assert merge_close([-1.0, 0.0, 1.0 - 5e-13, 1.0]) == [-1.0, 0.0, 1.0]
+
+    def test_long_run_of_close_values(self):
+        values = [k * 0.3e-12 for k in range(20)]
+        want = [values[0]]
+        for v in values[1:]:
+            if v - want[-1] >= BREAKPOINT_MERGE_TOL:
+                want.append(v)
+        want[-1] = values[-1]
+        assert merge_close(values) == want
 
 
 class TestNormalize:
