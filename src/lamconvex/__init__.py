@@ -60,7 +60,6 @@ from .step import (
     moments,
     normalize_breakpoints,
     refine,
-    simplify,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "refine",
     "save_laminate",
     "scaled_bezout_solutions",
-    "simplify",
     "split_moments",
     "trig_values",
     "verify_combination",

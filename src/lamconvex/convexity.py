@@ -70,6 +70,12 @@ def matched_split(lo: float, hi: float, fraction: float) -> IntervalSplit:
         raise DegenerateInterval(f"cannot split interval ({lo}, {hi})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
+    return IntervalSplit(lo, hi, fraction, *_split_points(lo, hi, fraction))
+
+
+def _split_points(lo: float, hi: float, fraction: float) -> tuple[float, ...]:
+    """(a, b, c, d, pair_width, center_gap) of the matched split, unchecked:
+    in floating point, points of a tiny interval or piece may coincide."""
     half = 0.5 * (hi - lo)
     width = fraction * half
     gap = half * math.sqrt((4.0 - fraction * fraction) / 3.0)
@@ -78,7 +84,7 @@ def matched_split(lo: float, hi: float, fraction: float) -> IntervalSplit:
     y = mid + 0.5 * gap
     a = x - 0.5 * width
     c = y - 0.5 * width
-    return IntervalSplit(lo, hi, fraction, a, a + width, c, c + width, width, gap)
+    return a, a + width, c, c + width, width, gap
 
 
 def split_moments(s: IntervalSplit) -> tuple[MomentTriple, MomentTriple]:

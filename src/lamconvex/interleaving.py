@@ -12,16 +12,13 @@ n*y with y = (x + 1)/2: strictly below alpha means the first source,
 strictly above means the second, and hitting 0 or alpha exactly means x
 sits on a partition point, where the interleaved function is undefined.
 
-For rational x the fractional parts cycle with the denominator, and
-witnesses for both regions come from solving n*p - q*i = j (Bezout).
-For irrational x the fractional parts are dense in [0, 1] (Kronecker),
-so a search finds witnesses in any region.
-
-Points take one exact number path. Fraction(x) is exact for int, float
-and Fraction alike (a float is a dyadic rational), so y = p/q always, and
-frac(n*y) = (n*p mod q)/q. The witness search counts admissible residues
-with floor sums and bisects on n: O(log^2 q) integer steps, whatever the
-size of q.
+Every point takes one exact number path and one witness search.
+Fraction(x) is exact for int, float and Fraction alike (a float is a
+dyadic rational), so y = p/q always, and frac(n*y) = (n*p mod q)/q. The
+search counts admissible residues with floor sums and bisects on n:
+O(log^2 q) integer steps, whatever the size of q. The Bezout solutions
+of n*p - q*i = j certify indices with a given fractional part j/q; they
+give the indices where the interleaving is undefined at x.
 """
 
 import math
@@ -298,8 +295,8 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
     candidates = [q * k for k in range(1, count + 1)]
     alpha_q = Fraction(alpha) * q
     if alpha_q.denominator == 1:
-        first = alpha_q.numerator * pow(y.numerator, -1, q) % q
-        candidates += [first + q * k for k in range(count)]
+        solutions = congruence_solutions(y.numerator, q, alpha_q.numerator, count)
+        candidates += [n for n, _ in solutions]
     undefined = tuple(n for n in sorted(candidates)[:count] if n <= cap)
 
     def value_or_none(t: StepLaminate) -> float | None:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .step import StepLaminate
+from .step import StepLaminate, _exact_moments
 
 # Scale factors for the z^0, z^1, z^2 weighted families.
 _PREFACTORS = (0.5, 1.0, 1.5)
@@ -49,32 +49,13 @@ class LamParams:
 
 
 def trig_values(angle: float) -> tuple[float, float, float, float]:
-    """(cos 2*angle, cos 4*angle, sin 2*angle, sin 4*angle)."""
-    return (
-        math.cos(2.0 * angle),
-        math.cos(4.0 * angle),
-        math.sin(2.0 * angle),
-        math.sin(4.0 * angle),
-    )
+    """(cos 2a, cos 4a, sin 2a, sin 4a) for a = angle: the floats the parameters use."""
+    return tuple(_trig_rows((angle,))[:, 0].tolist())
 
 
 # Intervals per block of the moment kernel. It bounds the kernel's
 # temporaries to about 1 MB, whatever the ply count.
 _BLOCK = 1 << 13
-
-# Denominators of the closed-form moments of order 0, 1, 2.
-_ORDERS = np.array([[1.0], [2.0], [3.0]])
-
-
-def _exact_moments(edges: np.ndarray) -> np.ndarray:
-    """3 x B closed-form moments of the B intervals between consecutive
-    edges, with the float operations of `moments`."""
-    powers = np.empty((3, edges.size))
-    powers[0] = edges
-    np.multiply(edges, edges, out=powers[1])
-    np.multiply(powers[1], edges, out=powers[2])
-    return (powers[:, 1:] - powers[:, :-1]) / _ORDERS
-
 
 def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
                  interval_moments: Callable[[np.ndarray], np.ndarray] = _exact_moments,
@@ -100,7 +81,7 @@ def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
 
 
 def _trig_rows(angles: Sequence[float]) -> np.ndarray:
-    """4 x B array of (cos 2a, cos 4a, sin 2a, sin 4a), as `trig_values`."""
+    """4 x B array of (cos 2a, cos 4a, sin 2a, sin 4a)."""
     a = np.fromiter(angles, np.float64, len(angles))
     x = np.multiply.outer((2.0, 4.0), a)
     rows = np.empty((4, a.size))

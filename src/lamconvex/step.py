@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoin
 # (the smaller value is kept).
 BREAKPOINT_MERGE_TOL = 1e-12
 
-# Adjacent intervals whose angles differ by less than this merge under
-# simplify().
+# Angles closer than this count as equal: convex_combine emits one piece,
+# not a split, on a refinement interval where both inputs' angles agree.
 ANGLE_MERGE_TOL = 1e-12
 
 
@@ -51,11 +51,17 @@ def moments(lo: float, hi: float) -> MomentTriple:
         raise DegenerateInterval(f"non-finite interval ({lo}, {hi})")
     if lo >= hi:
         raise DegenerateInterval(f"empty interval ({lo}, {hi})")
-    return MomentTriple(
-        hi - lo,
-        (hi * hi - lo * lo) / 2.0,
-        (hi * hi * hi - lo * lo * lo) / 3.0,
-    )
+    return MomentTriple(*_exact_moments(np.array((lo, hi), dtype=np.float64))[:, 0].tolist())
+
+
+def _exact_moments(edges: np.ndarray) -> np.ndarray:
+    """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
+    of the B intervals between consecutive edges, as differences of powers."""
+    powers = np.empty((3, edges.size))
+    powers[0] = edges
+    np.multiply(edges, edges, out=powers[1])
+    np.multiply(powers[1], edges, out=powers[2])
+    return (powers[:, 1:] - powers[:, :-1]) / np.array([[1.0], [2.0], [3.0]])
 
 
 @dataclass(frozen=True)
@@ -110,11 +116,6 @@ class StepLaminate:
     def ply_count(self) -> int:
         return len(self.angles)
 
-    def intervals(self) -> Iterator[tuple[float, float, float]]:
-        """Yield (lo, hi, angle) for every interval, in order."""
-        for i, angle in enumerate(self.angles):
-            yield self.breakpoints[i], self.breakpoints[i + 1], angle
-
     def value_at(self, x: float) -> float:
         """Angle at interior point x.
 
@@ -149,7 +150,7 @@ class StepLaminate:
         keep = _kept(rights, -1.0, BREAKPOINT_MERGE_TOL).tolist()
         del rights
         last_right = pieces[-1][0] if pieces else -1.0
-        if abs(last_right - 1.0) > BREAKPOINT_MERGE_TOL:
+        if not abs(last_right - 1.0) <= BREAKPOINT_MERGE_TOL:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
                                      field="breakpoints")
         angles = tuple(compress(map(itemgetter(1), pieces), keep))
@@ -177,17 +178,16 @@ class RefinedPair:
         return StepLaminate(self.breakpoints, self.angles2)
 
 
-def merge_close(sorted_values: Sequence[float],
-                tol: float = BREAKPOINT_MERGE_TOL) -> list[float]:
+def merge_close(sorted_values: Sequence[float]) -> list[float]:
     """Collapse runs of near-coincident values, keeping the smallest of
-    each run. A value survives when it lies at least tol above the last
-    value kept, so a run of steps each below tol can still keep some of
-    its values. Input must be finite and sorted ascending; the last kept
-    value is snapped back to the overall maximum so interval ends survive
-    merging. The output holds the input's own objects.
+    each run. A value survives when it lies at least BREAKPOINT_MERGE_TOL
+    above the last value kept, so a run of steps each below it can still
+    keep some of its values. Input must be finite and sorted ascending; the
+    last kept value is snapped back to the overall maximum so interval ends
+    survive merging. The output holds the input's own objects.
     """
     values = np.asarray(sorted_values, dtype=np.float64)
-    keep = _kept(values[1:], values[0], tol).tolist()
+    keep = _kept(values[1:], values[0], BREAKPOINT_MERGE_TOL).tolist()
     out = [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
     out[-1] = sorted_values[-1]
     return out
@@ -296,19 +296,3 @@ def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:
     mapped.append(1.0)
     return tuple(mapped)
 
-
-def simplify(t: StepLaminate, angle_tol: float = ANGLE_MERGE_TOL) -> StepLaminate:
-    """Merge adjacent intervals whose angles differ by less than angle_tol.
-
-    Construction never merges automatically; callers opt in when they do
-    not rely on the original partition.
-    """
-    edges = [t.breakpoints[0]]
-    angles: list[float] = []
-    for lo, hi, angle in t.intervals():
-        if angles and abs(angle - angles[-1]) < angle_tol:
-            edges[-1] = hi
-        else:
-            edges.append(hi)
-            angles.append(angle)
-    return StepLaminate(tuple(edges), tuple(angles))

@@ -95,6 +95,18 @@ class TestCombine:
         assert code == 1
         assert "FAIL" in out
 
+    # Known defect (ROADMAP item 4): collapsed split points raise
+    # InvariantViolation, reported as a usage error (exit 2).
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="collapsed split points raise")
+    def test_near_coincident_breakpoints(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_laminate(StepLaminate((-1.0, 0.5, 1.0), (0.0, math.pi / 2)), f1)
+        save_laminate(StepLaminate((-1.0, 0.5 + 1.5e-12, 1.0), (math.pi / 4, math.pi / 4)), f2)
+        code, out, _ = run_cli(capsys, "combine", f1, f2, "--alpha", "1e-4")
+        assert code == 0
+        assert "PASS" in out
+
     def test_alpha_domain_error(self, capsys, cross_pair):
         f0, f90 = cross_pair
         code, _, err = run_cli(capsys, "combine", f0, f90, "--alpha", "1.5")

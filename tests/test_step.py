@@ -15,7 +15,6 @@ from lamconvex import (
     moments,
     normalize_breakpoints,
     refine,
-    simplify,
 )
 from lamconvex.step import merge_close
 
@@ -67,6 +66,15 @@ class TestMoments:
         whole = moments(a, b)
         for got, want in zip((left + right).as_tuple(), whole.as_tuple()):
             assert got == pytest.approx(want, abs=1e-12)
+
+    @given(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5))
+    def test_matches_scalar_formula(self, x, y):
+        # moments reads the parameter kernel's column; it keeps the float
+        # operations of the scalar closed form, bit for bit
+        assume(x != y)
+        lo, hi = sorted((x, y))
+        want = (hi - lo, (hi * hi - lo * lo) / 2.0, (hi * hi * hi - lo * lo * lo) / 3.0)
+        assert moments(lo, hi).as_tuple() == want
 
 
 class TestStepLaminate:
@@ -146,6 +154,11 @@ class TestStepLaminate:
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
             StepLaminate.from_pieces([(0.0, 0.3)])
+
+    def test_from_pieces_rejects_nan_end(self):
+        with pytest.raises(InvariantViolation) as info:
+            StepLaminate.from_pieces([(0.5, 0.1), (math.nan, 0.2)])
+        assert info.value.field == "breakpoints"
 
     def test_from_pieces_two_slivers_in_a_row(self):
         # each piece is measured from the last kept edge: the second
@@ -319,17 +332,3 @@ class TestNormalize:
         assert mapped[0] == -1.0 and mapped[-1] == 1.0
         for got, want in zip(mapped, t.breakpoints):
             assert got == pytest.approx(want, abs=1e-12)
-
-
-class TestSimplify:
-    def test_merges_equal_angles(self):
-        t = StepLaminate((-1.0, -0.2, 0.4, 1.0), (0.7, 0.7, 0.9))
-        s = simplify(t)
-        assert s.breakpoints == (-1.0, 0.4, 1.0)
-        assert s.angles == (0.7, 0.9)
-
-    def test_keeps_distinct_angles(self):
-        t = StepLaminate((-1.0, 0.0, 1.0), (0.7, 0.9))
-        s = simplify(t)
-        assert s.breakpoints == t.breakpoints
-        assert s.angles == t.angles
