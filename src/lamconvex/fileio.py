@@ -24,7 +24,12 @@ def _number_list(data: dict, key: str) -> list[float]:
         raise ParseError(f"'{key}' must be a non-empty list of numbers", field=key)
     out = []
     for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        try:
+            finite = (not isinstance(v, bool) and isinstance(v, (int, float))
+                      and math.isfinite(v))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ParseError(f"'{key}[{i}]' is not a finite number: {v!r}", field=key)
         out.append(float(v))
     return out

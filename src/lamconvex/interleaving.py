@@ -21,12 +21,12 @@ of n*p - q*i = j certify indices with a given fractional part j/q; they
 give the indices where the interleaving is undefined at x.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
@@ -70,6 +70,7 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     its source and angle at its midpoint; a midpoint that lands on a
     merged-away breakpoint takes the angle to its right.
     """
+    import numpy as np
     _check_alpha(alpha)
     _check_n(n)
     left = -1.0 + (2.0 * np.arange(n, dtype=np.float64)) / n

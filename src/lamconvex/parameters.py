@@ -15,11 +15,11 @@ round-off. `quadrature_parameters` recomputes the same quantities by
 composite midpoint sampling and serves as an independent cross-check.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .step import StepLaminate, _exact_moments
 
@@ -69,6 +69,7 @@ def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
     pairwise (np.sum, error growing like log2(block) * u), and math.fsum
     adds the block sums with a single rounding.
     """
+    import numpy as np
     parts = []
     for start in range(0, t.ply_count, block):
         edges = np.array(t.breakpoints[start:start + block + 1])
@@ -82,6 +83,7 @@ def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
 
 def _trig_rows(angles: Sequence[float]) -> np.ndarray:
     """4 x B array of (cos 2a, cos 4a, sin 2a, sin 4a)."""
+    import numpy as np
     a = np.fromiter(angles, np.float64, len(angles))
     x = np.multiply.outer((2.0, 4.0), a)
     rows = np.empty((4, a.size))
@@ -98,6 +100,8 @@ def weighted_moments(t: StepLaminate,
     closed-form interval moment. This generic entry point runs the same
     kernel as the trig parameters and lets tests drive it with arbitrary f.
     """
+    import numpy as np
+
     def rows(angles: Sequence[float]) -> np.ndarray:
         return np.fromiter(map(f, angles), np.float64, len(angles))[np.newaxis]
 
@@ -132,6 +136,7 @@ def quadrature_parameters(t: StepLaminate, samples_per_interval: int) -> LamPara
     Args:
         samples_per_interval: midpoint samples per laminate interval, >= 1.
     """
+    import numpy as np
     if samples_per_interval < 1:
         raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval}")
     m = int(samples_per_interval)

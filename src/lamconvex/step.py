@@ -6,14 +6,14 @@ Values exactly at breakpoints are deliberately undefined; they carry no
 measure and every downstream quantity is an integral.
 """
 
+from __future__ import annotations
+
 import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
 
@@ -51,12 +51,14 @@ def moments(lo: float, hi: float) -> MomentTriple:
         raise DegenerateInterval(f"non-finite interval ({lo}, {hi})")
     if lo >= hi:
         raise DegenerateInterval(f"empty interval ({lo}, {hi})")
+    import numpy as np
     return MomentTriple(*_exact_moments(np.array((lo, hi), dtype=np.float64))[:, 0].tolist())
 
 
 def _exact_moments(edges: np.ndarray) -> np.ndarray:
     """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
     of the B intervals between consecutive edges, as differences of powers."""
+    import numpy as np
     powers = np.empty((3, edges.size))
     powers[0] = edges
     np.multiply(edges, edges, out=powers[1])
@@ -89,19 +91,16 @@ class StepLaminate:
                 f"{len(angs)} angles for {len(bps)} breakpoints (expected {len(bps) - 1})",
                 field="angles",
             )
-        # One array at a time: the largest laminates are validated here,
-        # so bps is converted again for the ordering check.
-        i = _first_false(np.isfinite(_array(bps)))
-        if i is not None:
+        if not all(map(math.isfinite, bps)):
+            i = list(map(math.isfinite, bps)).index(False)
             raise InvariantViolation(f"breakpoints[{i}] = {bps[i]} is not finite",
                                      field="breakpoints", index=i)
-        i = _first_false(np.isfinite(_array(angs)))
-        if i is not None:
+        if not all(map(math.isfinite, angs)):
+            i = list(map(math.isfinite, angs)).index(False)
             raise InvariantViolation(f"angles[{i}] = {angs[i]} is not finite",
                                      field="angles", index=i)
-        b = _array(bps)
-        i = _first_false(b[:-1] < b[1:])
-        if i is not None:
+        if not all(map(lt, bps, islice(bps, 1, None))):
+            i = list(map(lt, bps, islice(bps, 1, None))).index(False)
             raise InvariantViolation(
                 f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}",
                 field="breakpoints", index=i + 1)
@@ -144,6 +143,7 @@ class StepLaminate:
         of thickness is absorbed by the neighbouring piece. The final right
         edge must be 1 (within tolerance) and is snapped to exactly 1.0.
         """
+        import numpy as np
         if not isinstance(pieces, (list, tuple)):
             pieces = list(pieces)
         rights = np.fromiter(map(itemgetter(0), pieces), np.float64, len(pieces))
@@ -159,7 +159,6 @@ class StepLaminate:
                                      field="angles")
         inner = islice(compress(map(itemgetter(0), pieces), keep), len(angles) - 1)
         edges = tuple(chain((-1.0,), inner, (1.0,)))
-        del keep  # free before validation copies both tuples
         return cls(edges, angles)
 
 
@@ -186,6 +185,7 @@ def merge_close(sorted_values: Sequence[float]) -> list[float]:
     last kept value is snapped back to the overall maximum so interval ends
     survive merging. The output holds the input's own objects.
     """
+    import numpy as np
     values = np.asarray(sorted_values, dtype=np.float64)
     keep = _kept(values[1:], values[0], BREAKPOINT_MERGE_TOL).tolist()
     out = [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
@@ -202,6 +202,7 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     angle at its midpoint; a midpoint that lands on a merged-away
     breakpoint takes the angle to its right.
     """
+    import numpy as np
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
     mids = _midpoints(np.array(bps))
     return RefinedPair(tuple(bps), _angles_at(t1, mids), _angles_at(t2, mids))
@@ -214,16 +215,6 @@ def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _array(values: Sequence[float]) -> np.ndarray:
-    return np.fromiter(values, np.float64, len(values))
-
-
-def _first_false(mask: np.ndarray) -> int | None:
-    """Index of the first False entry of a boolean array, or None."""
-    i = int(np.argmin(mask))
-    return None if mask[i] else i
-
-
 def _kept(values: np.ndarray, start: float, tol: float) -> np.ndarray:
     """Mask of the values that a left-to-right scan keeps when it keeps a
     value unless it lies less than tol above the last value kept, with
@@ -233,6 +224,7 @@ def _kept(values: np.ndarray, start: float, tol: float) -> np.ndarray:
     scan kept before it. Only the others, the runs of close values, are
     decided one by one, in order.
     """
+    import numpy as np
     gap = np.empty_like(values)
     gap[:1] = start
     gap[1:] = values[:-1]
@@ -261,12 +253,15 @@ def _midpoints(edges: np.ndarray) -> np.ndarray:
 def _angle_index(t: StepLaminate, points: np.ndarray) -> np.ndarray:
     """Index of the interval of t holding each point of [-1, 1); a point on
     a breakpoint belongs to the interval to its right."""
-    return np.searchsorted(_array(t.breakpoints), points, side="right") - 1
+    import numpy as np
+    bps = np.fromiter(t.breakpoints, np.float64, len(t.breakpoints))
+    return np.searchsorted(bps, points, side="right") - 1
 
 
 def _angles_at(t: StepLaminate, points: np.ndarray) -> tuple[float, ...]:
     """t's angle at each point (see `_angle_index`): the float objects of
     t.angles themselves, not copies."""
+    import numpy as np
     return tuple(np.array(t.angles, dtype=object)[_angle_index(t, points)])
 
 

@@ -62,6 +62,16 @@ class TestParams:
         assert code == 2
         assert "extra" in err
 
+    @pytest.mark.parametrize("key", ["breakpoints", "angles_deg"])
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path, key):
+        data = {"breakpoints": [-1, 1], "angles_deg": [0]}
+        data[key][-1] = 10 ** 400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "params", bad)
+        assert code == 2
+        assert f"'{key}[" in err
+
     def test_normalize_flag(self, capsys, tmp_path):
         raw = tmp_path / "mm.json"
         raw.write_text(json.dumps({"breakpoints": [0.0, 2.5, 10.0], "angles_deg": [0, 45]}))

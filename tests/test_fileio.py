@@ -66,6 +66,15 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_laminate(path)
 
+    @pytest.mark.parametrize("key", ["breakpoints", "angles_deg"])
+    def test_integer_too_large_for_a_float(self, tmp_path, key):
+        data = {"breakpoints": [-1, 1], "angles_deg": [0]}
+        data[key][-1] = 10 ** 400
+        path = write_json(tmp_path / "t.json", data)
+        with pytest.raises(ParseError, match="is not a finite number") as info:
+            load_laminate(path)
+        assert info.value.field == key
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{not json", encoding="utf-8")

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
@@ -19,6 +19,73 @@ from lamconvex import (
 from lamconvex.step import merge_close
 
 from _helpers import close_laminates, laminates, random_laminate
+
+
+def array_validation(breakpoints, angles):
+    """(field, index, message) of the first entry check that StepLaminate
+    failed when it validated on numpy arrays, or None if all pass: the
+    reference for the plain-Python checks. Lengths are assumed valid."""
+    bps = tuple(map(float, breakpoints))
+    angs = tuple(map(float, angles))
+
+    def first_false(mask):
+        i = int(np.argmin(mask))
+        return None if mask[i] else i
+
+    i = first_false(np.isfinite(np.array(bps)))
+    if i is not None:
+        return "breakpoints", i, f"breakpoints[{i}] = {bps[i]} is not finite"
+    i = first_false(np.isfinite(np.array(angs)))
+    if i is not None:
+        return "angles", i, f"angles[{i}] = {angs[i]} is not finite"
+    b = np.array(bps)
+    i = first_false(b[:-1] < b[1:])
+    if i is not None:
+        return ("breakpoints", i + 1,
+                f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}")
+    if bps[0] != -1.0:
+        return "breakpoints", 0, f"first breakpoint must be -1, got {bps[0]}"
+    if bps[-1] != 1.0:
+        return "breakpoints", len(bps) - 1, f"last breakpoint must be 1, got {bps[-1]}"
+    return None
+
+
+@st.composite
+def one_bad_entry(draw):
+    """(breakpoints, angles) of a laminate with at most one bad entry at a
+    random position: a NaN or infinite value, an equal or descending
+    breakpoint, or a wrong end. Each entry is a float, an np.float64 or,
+    where the value is integral, an int; the containers are lists or tuples."""
+    plies = draw(st.integers(min_value=1, max_value=12))
+    interior = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0,
+                                       exclude_min=True, exclude_max=True),
+                             min_size=plies - 1, max_size=plies - 1, unique=True))
+    bps = [-1.0, *sorted(interior), 1.0]
+    angles = draw(st.lists(st.one_of(st.floats(min_value=-4.0, max_value=4.0),
+                                     st.integers(min_value=-3, max_value=3)),
+                           min_size=plies, max_size=plies))
+    kind = draw(st.sampled_from(["none", "nan", "inf", "-inf", "equal", "descending",
+                                 "first", "last"]))
+    if kind in ("nan", "inf", "-inf"):
+        values = draw(st.sampled_from([bps, angles]))
+        values[draw(st.integers(min_value=0, max_value=len(values) - 1))] = float(kind)
+    elif kind in ("equal", "descending"):
+        i = draw(st.integers(min_value=1, max_value=len(bps) - 1))
+        drop = 0.0 if kind == "equal" else draw(st.floats(min_value=0.0, max_value=1.0))
+        bps[i] = bps[i - 1] - drop
+    elif kind == "first":
+        bps[0] = draw(st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: v != -1.0))
+    elif kind == "last":
+        bps[-1] = draw(st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: v != 1.0))
+
+    def typed(values):
+        out = []
+        for v in values:
+            cast = draw(st.sampled_from([float, np.float64, int]))
+            out.append(cast(v) if cast is not int or float(v).is_integer() else v)
+        return draw(st.sampled_from([list, tuple]))(out)
+
+    return typed(bps), typed(angles)
 
 
 def midpoint_moment_oracle(lo, hi, j, samples=10**6):
@@ -124,6 +191,18 @@ class TestStepLaminate:
         with pytest.raises(InvariantViolation) as info:
             StepLaminate(bps, angles)
         assert (info.value.field, info.value.index, str(info.value)) == (field, index, message)
+
+    @settings(max_examples=400)
+    @given(one_bad_entry())
+    def test_validation_matches_array_checks(self, entries):
+        bps, angles = entries
+        try:
+            StepLaminate(bps, angles)
+        except InvariantViolation as exc:
+            found = (exc.field, exc.index, str(exc))
+        else:
+            found = None
+        assert found == array_validation(bps, angles)
 
     def test_value_at_interior(self):
         t = StepLaminate((-1.0, 0.0, 1.0), (0.5, 1.5))
