@@ -11,7 +11,6 @@ from .convexity import (
     IntervalSplit,
     convex_combine,
     matched_split,
-    split_moments,
     verify_combination,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .interleaving import (
     interleave,
     interleave_value,
     oscillation_witness,
-    scaled_bezout_solutions,
 )
 from .parameters import (
     LamParams,
@@ -54,7 +52,6 @@ from .parameters import (
 from .step import (
     ANGLE_MERGE_TOL,
     BREAKPOINT_MERGE_TOL,
-    MomentTriple,
     RefinedPair,
     StepLaminate,
     moments,
@@ -76,7 +73,6 @@ __all__ = [
     "JOutOfRange",
     "LamConvexError",
     "LamParams",
-    "MomentTriple",
     "NotCoprime",
     "ParseError",
     "RefinedPair",
@@ -103,8 +99,6 @@ __all__ = [
     "quadrature_parameters",
     "refine",
     "save_laminate",
-    "scaled_bezout_solutions",
-    "split_moments",
     "trig_values",
     "verify_combination",
     "weighted_moments",

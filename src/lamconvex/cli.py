@@ -119,6 +119,18 @@ def _parse_x(text: str):
         raise argparse.ArgumentTypeError(f"invalid number {text!r}: {exc}")
 
 
+def _parse_tolerance(text: str) -> float:
+    """A verdict tolerance: a finite number >= 0 (the JSON report holds no
+    NaN or infinity)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}: {exc}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, verdict: bool, files: bool):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if verdict:
-            p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+            p.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOLERANCE,
                            help="verdict tolerance (default 1e-12)")
         if files:
             p.add_argument("--normalize", action="store_true",

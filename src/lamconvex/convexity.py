@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import AlphaOutOfRange, DegenerateInterval, InvariantViolation
 from .parameters import LamParams, blend, lamination_parameters
-from .step import ANGLE_MERGE_TOL, MomentTriple, StepLaminate, moments, refine
+from .step import ANGLE_MERGE_TOL, StepLaminate, refine
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,6 @@ def _split_points(lo: float, hi: float, fraction: float) -> tuple[float, ...]:
     a = x - 0.5 * width
     c = y - 0.5 * width
     return a, a + width, c, c + width, width, gap
-
-
-def split_moments(s: IntervalSplit) -> tuple[MomentTriple, MomentTriple]:
-    """Moments of the matched set and of its complement.
-
-    Their componentwise sum reproduces moments(lo, hi) up to round-off.
-    """
-    matched = moments(s.a, s.b) + moments(s.c, s.d)
-    complement = moments(s.lo, s.a) + moments(s.b, s.c) + moments(s.d, s.hi)
-    return matched, complement
 
 
 def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLaminate:

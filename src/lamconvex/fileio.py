@@ -70,7 +70,8 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
     """Load and validate a laminate file.
 
     Raises:
-        ParseError: malformed JSON or schema violations.
+        ParseError: bytes that are not UTF-8, malformed JSON or schema
+            violations.
         InvariantViolation: structurally valid file with invalid laminate data.
         OSError: unreadable path.
     """
@@ -79,6 +80,8 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
             data = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return laminate_from_dict(data, normalize=normalize)
 
 

@@ -146,19 +146,6 @@ def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, 
     return [(first + k * q, ((first + k * q) * p - j) // q) for k in range(count)]
 
 
-def scaled_bezout_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, int]]:
-    """The constructive family j * (n, i) over the base solutions of
-    n*p - q*i = 1. A subset of congruence_solutions(p, q, j, ...), kept
-    separate because its certificate n' = j*n is what the scaling
-    argument actually produces."""
-    n0, i0 = bezout_solve(p, q)
-    if not 1 <= j <= q - 1:
-        raise JOutOfRange(f"j must lie in [1, {q - 1}], got {j}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [(j * (n0 + k * q), j * (i0 + k * p)) for k in range(count)]
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, a, b >= 0,
     in O(log m) steps (the floor_sum recurrence of the AtCoder Library,

@@ -26,23 +26,9 @@ BREAKPOINT_MERGE_TOL = 1e-12
 ANGLE_MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    """Values of integral(z^j dz), j = 0, 1, 2, over a set of intervals."""
-
-    m0: float
-    m1: float
-    m2: float
-
-    def __add__(self, other: "MomentTriple") -> "MomentTriple":
-        return MomentTriple(self.m0 + other.m0, self.m1 + other.m1, self.m2 + other.m2)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.m0, self.m1, self.m2)
-
-
-def moments(lo: float, hi: float) -> MomentTriple:
-    """Exact interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3).
+def moments(lo: float, hi: float) -> tuple[float, float, float]:
+    """Exact interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3), the
+    values of integral(z^j dz) over (lo, hi) for j = 0, 1, 2.
 
     Raises:
         DegenerateInterval: if lo >= hi or either endpoint is not finite.
@@ -52,7 +38,7 @@ def moments(lo: float, hi: float) -> MomentTriple:
     if lo >= hi:
         raise DegenerateInterval(f"empty interval ({lo}, {hi})")
     import numpy as np
-    return MomentTriple(*_exact_moments(np.array((lo, hi), dtype=np.float64))[:, 0].tolist())
+    return tuple(_exact_moments(np.array((lo, hi), dtype=np.float64))[:, 0].tolist())
 
 
 def _exact_moments(edges: np.ndarray) -> np.ndarray:
@@ -130,11 +116,6 @@ class StepLaminate:
             raise UndefinedAtBreakpoint(f"step function undefined at breakpoint x = {x}")
         return self.angles[pos - 1]
 
-    def mirrored(self) -> "StepLaminate":
-        """The laminate reflected through z = 0 (reverses the stacking)."""
-        bps = tuple(-b for b in reversed(self.breakpoints))
-        return StepLaminate(bps, tuple(reversed(self.angles)))
-
     @classmethod
     def from_pieces(cls, pieces: Iterable[tuple[float, float]]) -> "StepLaminate":
         """Assemble from (right_edge, angle) pieces starting at -1.
@@ -169,12 +150,6 @@ class RefinedPair:
     breakpoints: tuple[float, ...]
     angles1: tuple[float, ...]
     angles2: tuple[float, ...]
-
-    def first(self) -> StepLaminate:
-        return StepLaminate(self.breakpoints, self.angles1)
-
-    def second(self) -> StepLaminate:
-        return StepLaminate(self.breakpoints, self.angles2)
 
 
 def merge_close(sorted_values: Sequence[float]) -> list[float]:

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def test_split_moment_matching():
         assert lo < s.a < s.b < s.c < s.d < hi
         assert abs((s.b - s.a) - (s.d - s.c)) <= WIDTH_ULPS
         assert abs((s.b - s.a) - s.pair_width) <= WIDTH_ULPS
-        whole = moments(lo, hi).as_tuple()
-        matched = (moments(s.a, s.b) + moments(s.c, s.d)).as_tuple()
+        whole = moments(lo, hi)
+        matched = tuple(map(add, moments(s.a, s.b), moments(s.c, s.d)))
         for got, want in zip(matched, whole):
             err = abs(got - alpha * want)
             assert err <= 1e-12 * max(1.0, abs(want))

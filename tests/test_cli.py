@@ -72,6 +72,13 @@ class TestParams:
         assert code == 2
         assert f"'{key}[" in err
 
+    def test_not_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, "params", bad)
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_normalize_flag(self, capsys, tmp_path):
         raw = tmp_path / "mm.json"
         raw.write_text(json.dumps({"breakpoints": [0.0, 2.5, 10.0], "angles_deg": [0, 45]}))
@@ -122,6 +129,22 @@ class TestCombine:
         code, _, err = run_cli(capsys, "combine", f0, f90, "--alpha", "1.5")
         assert code == 3
         assert "alpha" in err
+
+
+@pytest.mark.parametrize("output", [(), ("--json",)])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("command", ["params", "combine"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, cross_pair, command,
+                                                   tolerance, output):
+    f0, f90 = cross_pair
+    files = [f0] if command == "params" else [f0, f90, "--alpha", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *map(str, files), f"--tolerance={tolerance}", *output])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error: argument --tolerance: must be finite and >= 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestGsequence:

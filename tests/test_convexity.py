@@ -17,7 +17,6 @@ from lamconvex import (
     moments,
     quadrature_parameters,
     refine,
-    split_moments,
     verify_combination,
     weighted_moments,
 )
@@ -29,12 +28,22 @@ from _helpers import max_param_diff, random_laminate
 WIDTH_ULPS = 2.0**-51
 
 
+def summed_moments(*intervals):
+    """Componentwise sum of moments(lo, hi) over the (lo, hi) intervals."""
+    return tuple(map(sum, zip(*(moments(lo, hi) for lo, hi in intervals))))
+
+
+def matched_moments(s):
+    return summed_moments((s.a, s.b), (s.c, s.d))
+
+
 def assert_matched(s, rel=1e-12):
     whole = moments(s.lo, s.hi)
-    matched, complement = split_moments(s)
-    for got, want in zip(matched.as_tuple(), whole.as_tuple()):
+    matched = matched_moments(s)
+    complement = summed_moments((s.lo, s.a), (s.b, s.c), (s.d, s.hi))
+    for got, want in zip(matched, whole):
         assert abs(got - s.fraction * want) <= rel * max(1.0, abs(want))
-    for got, m, w in zip(complement.as_tuple(), matched.as_tuple(), whole.as_tuple()):
+    for got, m, w in zip(complement, matched, whole):
         assert got + m == pytest.approx(w, abs=1e-12)
 
 
@@ -48,8 +57,7 @@ class TestMatchedSplit:
         assert (s.a, s.b, s.c, s.d) == pytest.approx(
             (-0.8090169943749475, -0.30901699437494745,
              0.30901699437494745, 0.8090169943749475), abs=1e-15)
-        matched, _ = split_moments(s)
-        assert matched.as_tuple() == pytest.approx((1.0, 0.0, 1.0 / 3.0), abs=1e-15)
+        assert matched_moments(s) == pytest.approx((1.0, 0.0, 1.0 / 3.0), abs=1e-15)
         assert_matched(s)
 
     def test_unit_interval_half(self):
@@ -64,8 +72,7 @@ class TestMatchedSplit:
                              ((ref.a + 1) / 2, (ref.b + 1) / 2,
                               (ref.c + 1) / 2, (ref.d + 1) / 2)):
             assert got == pytest.approx(want, abs=1e-15)
-        matched, _ = split_moments(s)
-        assert matched.as_tuple() == pytest.approx((0.5, 0.25, 1.0 / 6.0), abs=1e-15)
+        assert matched_moments(s) == pytest.approx((0.5, 0.25, 1.0 / 6.0), abs=1e-15)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 1e-9])
     def test_tends_to_whole_interval(self, delta):
@@ -225,6 +232,20 @@ class TestConvexCombine:
         mean = blend(blend(lamination_parameters(t1), lamination_parameters(t2), 0.5),
                      lamination_parameters(t3), 2.0 / 3.0)
         assert max_param_diff(p, mean) <= 1e-11
+
+    # Known defect (ROADMAP item 2): the first combination holds pieces
+    # 2e-12 wide; splitting them against C emits ten pieces narrower than
+    # 1e-12, which from_pieces drops, so the second combination misses the
+    # verdict tolerance (residual 2.8e-12; 2.9e-16 with exact merging).
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the 1e-12 breakpoint merge moves measure (ROADMAP item 2)")
+    def test_combination_of_a_combination(self):
+        a = StepLaminate((-1.0, 0.0, 0.004, 1.0), (0.0, math.pi / 2, 0.0))
+        b = StepLaminate((-1.0, 1.0), (math.pi / 4,))
+        ab = convex_combine(a, b, 1.0 - 1e-9)
+        c = StepLaminate((-1.0, 0.5, 1.0), (-math.pi / 4, math.pi / 2))
+        report = verify_combination(ab, c, 0.3, convex_combine(ab, c, 0.3))
+        assert report.passed, report.max_residual
 
 
 class TestVerifyCombination:

@@ -81,6 +81,12 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_laminate(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_laminate(path)
+
     def test_normalization_is_opt_in(self, tmp_path):
         path = write_json(tmp_path / "t.json",
                           {"breakpoints": [0.0, 1.0, 4.0], "angles_deg": [0, 45]})

@@ -24,7 +24,6 @@ from lamconvex import (
     interleave_value,
     lamination_parameters,
     oscillation_witness,
-    scaled_bezout_solutions,
 )
 
 from _helpers import (
@@ -226,7 +225,12 @@ class TestCongruenceSolutions:
         assert congruence_solutions(3, 7, 2, 3) == [(3, 1), (10, 4), (17, 7)]
 
     def test_scaled_family_starts_at_product(self):
-        assert scaled_bezout_solutions(3, 7, 2, 3) == [(10, 4), (24, 10), (38, 16)]
+        # the scaling argument's certificates j * (n, i), over the Bezout
+        # solutions (n, i) of n*p - q*i = 1, are among the solutions
+        n0, i0 = bezout_solve(3, 7)
+        scaled = [(2 * (n0 + k * 7), 2 * (i0 + k * 3)) for k in range(3)]
+        assert scaled == [(10, 4), (24, 10), (38, 16)]
+        assert set(scaled) <= set(congruence_solutions(3, 7, 2, 6))
 
     def test_rejects_j_out_of_range(self):
         for j in (0, 7, -1):
@@ -246,9 +250,6 @@ class TestCongruenceSolutions:
             assert n > previous
             previous = n
             assert Fraction(n * p % q, q) == Fraction(j, q)
-        for n, i in scaled_bezout_solutions(p, q, j, 4):
-            assert n * p - q * i == j
-            assert 0 <= i <= n - 1
 
 
 def scan_first_n(y, lo, hi, n_min):
