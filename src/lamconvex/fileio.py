@@ -4,6 +4,10 @@ Schema: {"breakpoints": [-1.0, ..., 1.0], "angles_deg": [...], "name": "..."}
 with `name` optional and no other fields allowed. Angles are stored in
 degrees (ply-table convention) and converted to radians on load; full
 float precision round-trips through the shortest-repr serialization.
+
+Files are written as `indent=2` JSON, block by block, byte-identical to
+`json.dump(laminate_to_dict(t, name), fh, indent=2)` plus a newline; the
+writer never holds more than one block of text.
 """
 
 import json
@@ -16,12 +20,15 @@ from .step import StepLaminate, normalize_breakpoints
 
 _REQUIRED = ("breakpoints", "angles_deg")
 _ALLOWED = frozenset(_REQUIRED) | {"name"}
+_ITEM_SEP = ",\n    "  # json.dump's separator between list items at indent=2
 
 
 def _number_list(data: dict, key: str) -> list[float]:
     value = data[key]
     if not isinstance(value, list) or not value:
         raise ParseError(f"'{key}' must be a non-empty list of numbers", field=key)
+    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        return value  # plain finite floats; the loop below names a bad entry
     out = []
     for i, v in enumerate(value):
         try:
@@ -52,11 +59,12 @@ def laminate_from_dict(data: Any, normalize: bool = False) -> StepLaminate:
     angles_deg = _number_list(data, "angles_deg")
     if normalize:
         breakpoints = list(normalize_breakpoints(breakpoints))
-    angles = tuple(math.radians(a) for a in angles_deg)
-    return StepLaminate(tuple(breakpoints), angles)
+    return StepLaminate(tuple(breakpoints), tuple(map(math.radians, angles_deg)))
 
 
 def laminate_to_dict(t: StepLaminate, name: str | None = None) -> dict:
+    """The content of a laminate file; save_laminate writes exactly
+    json.dump of this dict at indent=2."""
     data: dict[str, Any] = {
         "breakpoints": list(t.breakpoints),
         "angles_deg": [math.degrees(a) for a in t.angles],
@@ -70,8 +78,8 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
     """Load and validate a laminate file.
 
     Raises:
-        ParseError: bytes that are not UTF-8, malformed JSON or schema
-            violations.
+        ParseError: bytes that are not UTF-8, malformed or too deeply
+            nested JSON, or schema violations.
         InvariantViolation: structurally valid file with invalid laminate data.
         OSError: unreadable path.
     """
@@ -80,6 +88,8 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
             data = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return laminate_from_dict(data, normalize=normalize)
@@ -89,10 +99,36 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} not allowed in laminate files")
 
 
+def _write_floats(fh, values, convert=None) -> None:
+    """Write the items of a JSON float list, 8192 values at a time."""
+    for start in range(0, len(values), 8192):
+        block = values[start:start + 8192]
+        if start:
+            fh.write(_ITEM_SEP)
+        fh.write(_ITEM_SEP.join(map(float.__repr__,
+                                    block if convert is None else map(convert, block))))
+
+
 def save_laminate(t: StepLaminate, path: str | os.PathLike,
                   name: str | None = None) -> None:
     """Write a laminate file; load_laminate(save_laminate(t)) reproduces
-    breakpoints exactly and angles to within one degree<->radian rounding."""
+    breakpoints exactly and angles to within one degree<->radian rounding.
+
+    Raises:
+        ValueError: an angle whose value in degrees overflows; checked
+            before the file is opened, so no partial file is left.
+        OSError: unwritable path.
+    """
+    # math.degrees is monotone in |angle|, so the largest one decides.
+    largest = max(map(abs, t.angles))
+    if not math.isfinite(math.degrees(largest)):
+        raise ValueError(f"an angle of magnitude {largest!r} rad overflows in degrees")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(laminate_to_dict(t, name=name), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write('{\n  "breakpoints": [\n    ')
+        _write_floats(fh, t.breakpoints)
+        fh.write('\n  ],\n  "angles_deg": [\n    ')
+        _write_floats(fh, t.angles, math.degrees)
+        fh.write("\n  ]")
+        if name is not None:
+            fh.write(',\n  "name": ' + json.dumps(name))
+        fh.write("\n}\n")

@@ -79,6 +79,14 @@ class TestParams:
         assert code == 2
         assert err.startswith("error:") and "UTF-8" in err
 
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "params", deep)
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert out == ""
+
     def test_normalize_flag(self, capsys, tmp_path):
         raw = tmp_path / "mm.json"
         raw.write_text(json.dumps({"breakpoints": [0.0, 2.5, 10.0], "angles_deg": [0, 45]}))
@@ -112,7 +120,7 @@ class TestCombine:
         assert code == 1
         assert "FAIL" in out
 
-    # Known defect (ROADMAP item 4): collapsed split points raise
+    # Known defect (ROADMAP item 3): collapsed split points raise
     # InvariantViolation, reported as a usage error (exit 2).
     @pytest.mark.xfail(raises=AssertionError, strict=True,
                        reason="collapsed split points raise")

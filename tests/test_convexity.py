@@ -118,7 +118,7 @@ class TestMatchedSplit:
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-# Known defect (ROADMAP item 4): where split points coincide in floating
+# Known defect (ROADMAP item 3): where split points coincide in floating
 # point, matched_split's ordering check raises inside convex_combine,
 # though the input is valid.
 COLLAPSED_SPLIT = pytest.mark.xfail(raises=InvariantViolation, strict=True,

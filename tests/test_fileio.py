@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamconvex import (
     InvariantViolation,
@@ -10,12 +13,13 @@ from lamconvex import (
     StepLaminate,
     convex_combine,
     laminate_from_dict,
+    laminate_to_dict,
     lamination_parameters,
     load_laminate,
     save_laminate,
 )
 
-from _helpers import max_param_diff, random_laminate
+from _helpers import max_param_diff, ply_laminate, random_laminate
 
 
 def write_json(path, payload):
@@ -30,6 +34,7 @@ class TestLoad:
         t = load_laminate(path)
         assert t.breakpoints == (-1.0, 1.0)
         assert t.angles == (0.0,)
+        assert all(type(v) is float for v in t.breakpoints + t.angles)
 
     def test_two_ply_degrees_to_radians(self, tmp_path):
         path = write_json(tmp_path / "t.json",
@@ -99,6 +104,33 @@ class TestLoad:
         with pytest.raises(ParseError):
             laminate_from_dict([1, 2, 3])
 
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_laminate(path)
+
+    # Each bad entry sits among plain floats, so the all-float fast path
+    # must fall through to the loop that names it.
+    @pytest.mark.parametrize("key", ["breakpoints", "angles_deg"])
+    @pytest.mark.parametrize("text, shown", [
+        ("1e400", "inf"),
+        ("true", "True"),
+        (str(10 ** 400), repr(10 ** 400)),
+        ('"x"', "'x'"),
+    ])
+    def test_bad_entry_among_floats(self, tmp_path, key, text, shown):
+        lists = {"breakpoints": ["-1.0", "-0.5", "0.0", "0.5", "1.0"],
+                 "angles_deg": ["0.0", "45.0", "-45.0", "90.0"]}
+        lists[key][2] = text
+        path = tmp_path / "t.json"
+        path.write_text("{" + ", ".join(f'"{k}": [{", ".join(v)}]' for k, v in lists.items())
+                        + "}", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_laminate(path)
+        assert str(info.value) == f"'{key}[2]' is not a finite number: {shown}"
+        assert info.value.field == key
+
 
 class TestRoundTrip:
     def test_random_laminates(self, tmp_path):
@@ -132,3 +164,55 @@ class TestRoundTrip:
         t = StepLaminate((-1.0, 1.0), (0.1,))
         with pytest.raises(OSError):
             save_laminate(t, tmp_path)  # a directory, not a file
+
+
+class TestSave:
+    OVERFLOWING = StepLaminate((-1.0, 0.0, 1.0), (0.5, -1.7e308))  # degrees overflow
+
+    def test_overflowing_angle_creates_no_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match="overflows in degrees"):
+            save_laminate(self.OVERFLOWING, path)
+        assert not path.exists()
+
+    def test_overflowing_angle_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b"previous contents")
+        with pytest.raises(ValueError):
+            save_laminate(self.OVERFLOWING, path)
+        assert path.read_bytes() == b"previous contents"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plies=st.one_of(st.sampled_from([1, 8191, 8192, 8193]),
+                        st.integers(min_value=1, max_value=20000)),
+        seed=st.integers(min_value=0, max_value=2 ** 32),
+        name=st.one_of(st.none(), st.text(),
+                       st.sampled_from(['say "hi"', "back\\slash", "tab\tnul\x00esc\x1b",
+                                        "ångström 角度 \U0001f600"])),
+    )
+    def test_bytes_equal_json_dump(self, tmp_path_factory, plies, seed, name):
+        rng = random.Random(seed)
+        t = ply_laminate(rng, plies)
+        # full-resolution angles, signed zeros and exponent-form degrees too
+        angles = [rng.choice((a, 0.0, -0.0, rng.uniform(-7.0, 7.0), 1e300, -5e-324))
+                  for a in t.angles]
+        t = StepLaminate(t.breakpoints, tuple(angles))
+        path = tmp_path_factory.getbasetemp() / "oracle.json"
+        save_laminate(t, path, name=name)
+        want = json.dumps(laminate_to_dict(t, name), indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        """The writer streams: a 2e5-ply file is about 7 MB of text, and
+        json.dump of the whole dict peaks at about 8 MB; one block of 8192
+        values stays under 1 MB."""
+        t = ply_laminate(random.Random(7), 200_000)
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            save_laminate(t, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, f"save_laminate peaked at {peak / 1e6:.2f} MB"
