@@ -26,6 +26,7 @@ from .fileio import load_laminate, save_laminate
 from .interleaving import (
     DEFAULT_SEARCH_CAP,
     convergence_table,
+    interleave,
     oscillation_witness,
 )
 from .parameters import lamination_parameters
@@ -197,7 +198,14 @@ def cmd_gsequence(args) -> Report:
         }
         for row in rows
     ]
-    return Report(
+    # The table is closed form; build the laminate of the smallest n and
+    # check its kernel parameters against that row.
+    n0 = min(args.n)
+    built = interleave(t1, t2, args.alpha, n0)
+    closed = next(row.params for row in rows if row.n == n0)
+    gap = max(abs(b - c) for b, c in
+              zip(lamination_parameters(built).flat(), closed.flat()))
+    report = Report(
         operation="gsequence",
         inputs={
             "file1": str(args.file1),
@@ -206,8 +214,10 @@ def cmd_gsequence(args) -> Report:
             "n": list(args.n),
             "swap_limit": args.swap_limit,
         },
-        payload={"rows": payload_rows},
+        payload={"rows": payload_rows, "built": {"n": n0, "pieces": built.ply_count}},
     )
+    report.add_verdict("interleave_residual", gap, args.tolerance, gap <= args.tolerance)
+    return report
 
 
 # Demonstration pair used when oscillate is not given explicit laminates:
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cell counts, e.g. 16,32,64")
     p.add_argument("--swap-limit", action="store_true",
                    help="compare against the opposite limit orientation")
-    add_common(p, verdict=False, files=True)
+    add_common(p, verdict=True, files=True)
     p.set_defaults(func=cmd_gsequence)
 
     p = sub.add_parser("oscillate", help="pointwise oscillation witnesses")

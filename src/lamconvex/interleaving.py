@@ -19,6 +19,13 @@ search counts admissible residues with floor sums and bisects on n:
 O(log^2 q) integer steps, whatever the size of q. The Bezout solutions
 of n*p - q*i = j certify indices with a given fractional part j/q; they
 give the indices where the interleaving is undefined at x.
+
+The convergence table builds no laminate. Its rows are the exact
+closed-form parameters of the ideal n-th interleaving, correctly rounded
+given the trig floats, at O(plies) cost per n whatever n is: per source
+breakpoint, the moments of the "first fraction alpha of each cell"
+indicator come from power sums over the whole cells below it plus the
+one partial cell. `interleave` builds the real laminate for one n.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -35,7 +43,7 @@ from .errors import (
     SearchCapExceeded,
     UndefinedAtBreakpoint,
 )
-from .parameters import LamParams, blend, lamination_parameters
+from .parameters import LamParams, _trig_rows, blend, lamination_parameters
 from .step import StepLaminate, _angle_index, _midpoints, merge_close
 
 Number = Union[Fraction, int, float]
@@ -304,10 +312,77 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
     )
 
 
+def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
+                            n_list: Sequence[int]) -> list[LamParams]:
+    """Exact parameters of the n-th interleaved laminate for each n, in
+    O(plies) integer steps per n, without building it.
+
+    G_j(x) = integral_{-1}^{x} z^j chi_n(z) dz, with chi_n marking the first
+    fraction alpha of each of the n cells: the k full cells below x sum in
+    closed form over the power sums of i < k (Faulhaber), and the one
+    partial cell is added directly. A t1 ply takes G(hi) - G(lo), a t2 ply
+    its full moment minus that. Everything is an integer over one scale
+    S = 2^bits * n * den(alpha): breakpoints are dyadic, a cell is 2S/n wide
+    and its first part alpha times that. Sums of hi^m - lo^m (m = 1, 2, 3)
+    are kept per distinct angle; each parameter is the exact sum of those
+    times the kernel's trig floats, rounded once.
+    """
+    a = Fraction(alpha)
+    ratios = [[b.as_integer_ratio() for b in t.breakpoints] for t in (t1, t2)]
+    bits = max(den.bit_length() - 1 for r in ratios for _, den in r)
+    dyadic = [[num << (bits - den.bit_length() + 1) for num, den in r] for r in ratios]
+    angles = list(dict.fromkeys(t1.angles + t2.angles))
+    trig = [[Fraction(v) for v in row] for row in _trig_rows(angles).tolist()]
+    out = []
+    for n in n_list:
+        unit = n * a.denominator
+        scale = unit << bits
+        cell = 2 * a.denominator << bits
+        w = 2 * a.numerator << bits
+        sums = {angle: [0, 0, 0] for angle in angles}
+        for t, points, first in ((t1, dyadic[0], True), (t2, dyadic[1], False)):
+            xs = [p * unit for p in points]
+            g = []
+            for x in xs:
+                # the whole cells i < k start at c_i = i*cell - scale, and
+                # sum (c_i + w)^m - c_i^m expands in sum c_i and sum c_i^2
+                k = min(n, (x + scale) // cell)
+                p1, p2 = k * (k - 1) // 2, (k - 1) * k * (2 * k - 1) // 6
+                sum_c = cell * p1 - k * scale
+                sum_c2 = k * scale * scale - 2 * scale * cell * p1 + cell * cell * p2
+                gx = [k * w, 2 * w * sum_c + k * w * w,
+                      3 * w * (sum_c2 + w * sum_c) + k * w ** 3]
+                c = cell * k - scale  # the partial cell k, cut at x
+                top = min(x, c + w)
+                if top > c:
+                    for m in range(3):
+                        gx[m] += top ** (m + 1) - c ** (m + 1)
+                g.append(gx)
+            for i, angle in enumerate(t.angles):
+                s = sums[angle]
+                lo, hi = xs[i], xs[i + 1]
+                for m in range(3):
+                    part = g[i + 1][m] - g[i][m]
+                    s[m] += part if first else hi ** (m + 1) - lo ** (m + 1) - part
+        # the prefactors 1/2, 1, 3/2 times the moment denominators 1, 2, 3
+        # leave 1/2 for every order
+        flat = []
+        for m in range(3):
+            moments = [Fraction(s[m], 2 * scale ** (m + 1)) for s in sums.values()]
+            flat += [float(sum(map(mul, row, moments))) for row in trig]
+        out.append(LamParams(tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12])))
+    return out
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """Parameters of one interleaved laminate and the componentwise
-    distance to the limiting blend."""
+    """The parameters of the n-th interleaved laminate and the
+    componentwise distance to the limiting blend.
+
+    params are the exact closed-form parameters of the ideal interleaving,
+    correctly rounded given the trig floats and computed at O(plies) cost
+    per n; the residuals are taken from them in float.
+    """
 
     n: int
     params: LamParams
@@ -330,11 +405,16 @@ class ConvergenceRow:
         return max(self.residuals)
 
 
-def convergence_table(t1: StepLaminate, t2: StepLaminate, alpha: float,
+def convergence_table(t1: StepLaminate, t2: StepLaminate, alpha: Number,
                       n_list: Sequence[int],
                       swap_limit: bool = False) -> list[ConvergenceRow]:
     """Parameters of the interleaved laminates for each n, with distances
     to the limit.
+
+    Each row holds the exact closed-form parameters of the n-th
+    interleaving, correctly rounded given the trig floats, at O(plies)
+    cost per n whatever n is: no laminate is built (`interleave` builds
+    one). alpha and every n are checked before any work.
 
     The construction puts t1 on measure fraction alpha of each cell, so
     the limit used here weights params(t1) by alpha. Pass swap_limit=True
@@ -342,11 +422,11 @@ def convergence_table(t1: StepLaminate, t2: StepLaminate, alpha: float,
     side by side.
     """
     _check_alpha(alpha)
-    weight_on_first = (1.0 - alpha) if swap_limit else alpha
-    limit = blend(lamination_parameters(t1), lamination_parameters(t2), weight_on_first)
-    rows = []
+    n_list = tuple(n_list)
     for n in n_list:
-        params = lamination_parameters(interleave(t1, t2, alpha, n))
-        residuals = tuple(abs(p - l) for p, l in zip(params.flat(), limit.flat()))
-        rows.append(ConvergenceRow(n=n, params=params, residuals=residuals))
-    return rows
+        _check_n(n)
+    weight_on_first = (1.0 - alpha) if swap_limit else alpha
+    limit = blend(lamination_parameters(t1), lamination_parameters(t2), weight_on_first).flat()
+    return [ConvergenceRow(n=n, params=params,
+                           residuals=tuple(abs(p - l) for p, l in zip(params.flat(), limit)))
+            for n, params in zip(n_list, _interleaved_parameters(t1, t2, alpha, n_list))]

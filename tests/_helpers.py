@@ -1,5 +1,6 @@
 """Shared builders for randomized and property-based tests."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -56,6 +57,38 @@ def exact_parameters(t) -> list[Fraction]:
             moment = Fraction(s[j], 2 << (bits * (j + 1)))
             for k in range(4):
                 out[4 * j + k] += tv[k] * moment
+    return out
+
+
+def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:
+    """The twelve parameters of the ideal n-th interleaving of t1 and t2
+    as exact rationals, by brute force.
+
+    Cell i of [-1, 1] gives its first fraction alpha to t1 and the rest
+    to t2. Each part is cut at its source's breakpoints, and every piece
+    adds its exact moments (hi^(j+1) - lo^(j+1))/(j+1) in Fraction. The
+    trig values are the package's floats, taken exactly, as in
+    `exact_parameters`.
+    """
+    h = Fraction(2, n)
+    w = Fraction(alpha) * h
+    edges = [[Fraction(b) for b in t.breakpoints] for t in (t1, t2)]
+    moments: dict = {}
+    for i in range(n):
+        c = -1 + i * h
+        for (lo, hi), t, bps in (((c, c + w), t1, edges[0]), ((c + w, c + h), t2, edges[1])):
+            cuts = [lo, *(b for b in bps if lo < b < hi), hi]
+            for a, b in zip(cuts, cuts[1:]):
+                angle = t.angles[bisect.bisect_right(bps, a) - 1]
+                m = moments.setdefault(angle, [Fraction(0)] * 3)
+                for j in range(3):
+                    m[j] += (b ** (j + 1) - a ** (j + 1)) / (j + 1)
+    out = [Fraction(0)] * 12
+    for angle, m in moments.items():
+        tv = [Fraction(v) for v in trig_values(angle)]
+        for j, prefactor in enumerate((Fraction(1, 2), Fraction(1), Fraction(3, 2))):
+            for k in range(4):
+                out[4 * j + k] += prefactor * tv[k] * m[j]
     return out
 
 

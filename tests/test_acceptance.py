@@ -16,6 +16,7 @@ from lamconvex import (
     congruence_solutions,
     convergence_table,
     convex_combine,
+    interleave,
     interleave_value,
     lamination_parameters,
     load_laminate,
@@ -31,6 +32,7 @@ from lamconvex.cli import main as cli_main
 from _helpers import max_param_diff, ply_laminate, random_laminate
 
 BOUND_SLACK = 1e-12
+U = 2.0**-53  # unit round-off of IEEE double
 WIDTH_ULPS = 2.0**-51
 
 T0 = StepLaminate((-1.0, 1.0), (0.0,))
@@ -194,6 +196,39 @@ def test_interleaving_at_scale():
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] interleaving-at-scale: PASS "
           f"(28/32 plies, n up to {ns[-1]}, final distance {rows[-1].residual_max:.3e}, "
+          f"{elapsed:.2f}s)")
+
+
+def test_interleave_matches_closed_form_at_scale():
+    """`interleave` builds what the closed form describes, at 2^18 pieces.
+
+    The built laminate differs from the ideal one only where it rounds a
+    cell edge. For a power-of-two n the cell starts -1 + 2i/n are exact,
+    and each of the n edges left + 2*alpha/n moves by at most u. Moving an
+    edge by d between two plies changes a parameter by at most 3d
+    (prefactor 3/2 times |f1 - f2| <= 2 times z^2 <= 1). The kernel adds
+    at most 4u per piece (the recursive-summation bound of
+    bench/exact.py). The sum of the two is the bound. It holds only if no
+    source breakpoint merged with a cell edge, which the piece count
+    checks. ROADMAP item 4 measured 1.7e-12 at n = 2^17 on a benchmark
+    pair; this pair stays near 4e-13.
+    """
+    rng = random.Random(2024_10)
+    t1, t2 = ply_laminate(rng, 28), ply_laminate(rng, 32)
+    ns = [2**k for k in range(10, 18)]
+    rows = convergence_table(t1, t2, 0.75, ns)
+    start = time.perf_counter()
+    worst = 0.0
+    for row in rows:
+        built = interleave(t1, t2, 0.75, row.n)
+        assert built.ply_count == 2 * row.n + (t1.ply_count - 1) + (t2.ply_count - 1)
+        gap = max_param_diff(record(lamination_parameters(built)), row.params)
+        bound = 3.0 * U * row.n + 4.0 * U * built.ply_count
+        assert gap <= bound, (row.n, gap, bound)
+        worst = max(worst, gap)
+    elapsed = time.perf_counter() - start
+    print(f"\n[acceptance] interleave-at-scale: PASS "
+          f"(28/32 plies, n up to {ns[-1]}, worst gap to the closed form {worst:.3e}, "
           f"{elapsed:.2f}s)")
 
 

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from lamconvex import StepLaminate, convex_combine, save_laminate, verify_combination
+from lamconvex import (
+    StepLaminate,
+    convergence_table,
+    convex_combine,
+    interleave,
+    lamination_parameters,
+    load_laminate,
+    save_laminate,
+    verify_combination,
+)
+from lamconvex import cli, interleaving
 from lamconvex.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -141,11 +151,12 @@ class TestCombine:
 
 @pytest.mark.parametrize("output", [(), ("--json",)])
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
-@pytest.mark.parametrize("command", ["params", "combine"])
+@pytest.mark.parametrize("command", ["params", "combine", "gsequence"])
 def test_tolerance_must_be_finite_and_non_negative(capsys, cross_pair, command,
                                                    tolerance, output):
     f0, f90 = cross_pair
-    files = [f0] if command == "params" else [f0, f90, "--alpha", "0.5"]
+    files = {"params": [f0], "combine": [f0, f90, "--alpha", "0.5"],
+             "gsequence": [f0, f90, "--alpha", "0.5", "--n", "4"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *map(str, files), f"--tolerance={tolerance}", *output])
     captured = capsys.readouterr()
@@ -175,12 +186,50 @@ class TestGsequence:
         # |2*0.25 - 1| * ... > 0 instead of matching it
         assert json.loads(out)["payload"]["rows"][0]["residual_a"] > 0.1
 
-    def test_rejects_tolerance(self, capsys, cross_pair):
+    def test_verdict_on_the_cross_pair(self, capsys, cross_pair):
         f0, f90 = cross_pair
-        with pytest.raises(SystemExit) as exc:
-            main(["gsequence", str(f0), str(f90), "--alpha", "0.5", "--n", "4",
-                  "--tolerance", "1e-9"])
-        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "gsequence", f0, f90,
+                               "--alpha", "0.5", "--n", "64,16,1099511627776", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payload"]["built"] == {"n": 16, "pieces": 32}
+        verdict, = doc["verdicts"]
+        assert verdict["name"] == "interleave_residual"
+        assert verdict["tolerance"] == 1e-12
+        assert verdict["passed"] and verdict["value"] <= 1e-12
+
+    def test_verdict_failure_sets_exit_one(self, capsys, tmp_path):
+        t1 = StepLaminate((-1.0, -0.2, 0.4, 1.0),
+                          (math.radians(10), math.radians(37), math.radians(81)))
+        t2 = StepLaminate((-1.0, 0.3, 1.0), (math.radians(-23), math.radians(64)))
+        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_laminate(t1, f1)
+        save_laminate(t2, f2)
+        t1, t2 = load_laminate(f1), load_laminate(f2)
+        built = lamination_parameters(interleave(t1, t2, 0.3, 3))
+        closed = convergence_table(t1, t2, 0.3, [3])[0].params
+        assert built != closed  # tolerance 0 below is therefore unreachable
+        code, out, _ = run_cli(capsys, "gsequence", f1, f2, "--alpha", "0.3",
+                               "--n", "3,5", "--tolerance", "0")
+        assert code == 1
+        assert "verdict interleave_residual: FAIL" in out
+
+    def test_builds_one_laminate(self, capsys, cross_pair, monkeypatch):
+        calls = []
+        original = interleaving.interleave
+
+        def counting(t1, t2, alpha, n):
+            calls.append(n)
+            return original(t1, t2, alpha, n)
+
+        for module in (interleaving, cli):
+            if getattr(module, "interleave", None) is original:
+                monkeypatch.setattr(module, "interleave", counting)
+        f0, f90 = cross_pair
+        code, _, _ = run_cli(capsys, "gsequence", f0, f90,
+                             "--alpha", "0.5", "--n", "32,8,1024,4096")
+        assert code == 0
+        assert calls == [8]
 
 
 class TestOscillate:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,13 @@ from lamconvex import (
     interleave_value,
     lamination_parameters,
     oscillation_witness,
+    trig_values,
 )
+from lamconvex import interleaving
 
 from _helpers import (
     close_laminates,
+    exact_interleaved_parameters,
     exact_parameters,
     laminates,
     ply_laminate,
@@ -420,11 +424,75 @@ class TestConvergenceTable:
 
     def test_swap_limit_orientation(self):
         rows = convergence_table(T0, T90, 0.25, [32], swap_limit=True)
-        p = lamination_parameters(interleave(T0, T90, 0.25, 32))
+        closed = convergence_table(T0, T90, 0.25, [32])[0].params
         other = blend(lamination_parameters(T0), lamination_parameters(T90), 0.75)
-        expected = tuple(abs(a - b) for a, b in zip(p.flat(), other.flat()))
+        expected = tuple(abs(a - b) for a, b in zip(closed.flat(), other.flat()))
         assert rows[0].residuals == expected
 
     def test_distances_vanish(self):
         rows = convergence_table(T0, T90, 0.5, [16, 4096])
         assert rows[-1].residual_max < 0.05 * rows[0].residual_max
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(laminates(max_plies=8), close_laminates(max_plies=8)),
+           st.one_of(laminates(max_plies=8), close_laminates(max_plies=8)),
+           st.one_of(st.floats(min_value=1e-9, max_value=1.0 - 2.0**-53),
+                     st.sampled_from([1e-9, 0.3, 1.0 - 2.0**-53])),
+           st.integers(min_value=1, max_value=64))
+    def test_rows_are_the_rounded_exact_parameters(self, t1, t2, alpha, n):
+        row, = convergence_table(t1, t2, alpha, [n])
+        want = [float(v) for v in exact_interleaved_parameters(t1, t2, alpha, n)]
+        assert list(row.params.flat()) == want
+
+    @pytest.mark.parametrize("t1, t2, alpha, n", [
+        # a subnormal breakpoint: the common scale reaches 2^1074
+        (StepLaminate((-1.0, 5e-324, 1.0), (0.3, 1.1)), T90, 0.3, 7),
+        (T0, StepLaminate((-1.0, -5e-324, 1.0), (0.7, -0.2)), 0.5, 5),
+        # breakpoints exactly on cell edges and on the edges of the first part
+        (StepLaminate((-1.0, -0.875, 0.0, 1.0), (0.1, 0.5, 0.9)),
+         StepLaminate((-1.0, -0.5, 0.625, 1.0), (-0.4, 1.3, 0.2)), 0.25, 4),
+        # alpha 1/3 is taken exactly, not as the float nearest to it
+        (StepLaminate((-1.0, -0.3, 0.4, 1.0), (0.2, 1.0, -0.6)),
+         StepLaminate((-1.0, 0.1, 1.0), (0.8, -1.2)), Fraction(1, 3), 6),
+        (T0, T90, Fraction(1, 3), 5),
+    ], ids=["subnormal-first", "subnormal-second", "cell-edges", "third", "third-cross"])
+    def test_edge_cases_are_exact(self, t1, t2, alpha, n):
+        row, = convergence_table(t1, t2, alpha, [n])
+        want = [float(v) for v in exact_interleaved_parameters(t1, t2, alpha, n)]
+        assert list(row.params.flat()) == want
+
+    def test_huge_n_is_exact_and_cheap(self):
+        # With one-ply sources and alpha = 1/2, the first halves of the n
+        # cells carry z^0, z^1, z^2 moments 1, -1/(2n) and 1/3 out of the
+        # full 2, 0 and 2/3, so the z^0 and z^2 blocks sit on the limit.
+        n = 2**40
+        start = time.perf_counter()
+        row, = convergence_table(T0, T90, 0.5, [n])
+        elapsed = time.perf_counter() - start
+        f0 = [Fraction(v) for v in trig_values(0.0)]
+        f90 = [Fraction(v) for v in trig_values(math.pi / 2)]
+        want = ([(a + b) / 2 for a, b in zip(f0, f90)]
+                + [(a - b) * Fraction(-1, 2 * n) for a, b in zip(f0, f90)]
+                + [(a + b) / 2 for a, b in zip(f0, f90)])
+        assert list(row.params.flat()) == [float(v) for v in want]
+        assert elapsed < 0.25, f"runtime {elapsed:.3f}s over budget"
+
+    def test_huge_n_stays_small_in_memory(self):
+        rng = random.Random(40)
+        t1, t2 = ply_laminate(rng, 28), ply_laminate(rng, 32)
+        convergence_table(t1, t2, 0.75, [16])  # numpy loaded before measuring
+        tracemalloc.start()
+        try:
+            convergence_table(t1, t2, 0.75, [2**40])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} bytes"
+
+    def test_validates_every_n_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(interleaving, "lamination_parameters",
+                            lambda t: pytest.fail("parameters computed before validation"))
+        with pytest.raises(ValueError):
+            convergence_table(T0, T90, 0.5, [4, 8, 0])
+        with pytest.raises(AlphaOutOfRange):
+            convergence_table(T0, T90, 0.0, [4])
