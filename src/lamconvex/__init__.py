@@ -8,7 +8,6 @@ not give pointwise convergence.
 
 from .convexity import (
     CombinationReport,
-    IntervalSplit,
     convex_combine,
     matched_split,
     verify_combination,
@@ -68,7 +67,6 @@ __all__ = [
     "CombinationReport",
     "ConvergenceRow",
     "DegenerateInterval",
-    "IntervalSplit",
     "InvariantViolation",
     "JOutOfRange",
     "LamConvexError",

@@ -11,8 +11,8 @@ centers x < y to determine; matching the three moments gives
     x + y  = lo + hi
 
 and the centered-gap expression is finite and stable for every fraction
-in (0, 1). Strict interior ordering lo < a < b < c < d < hi holds because
-fraction^2 - 3*fraction + 2 > 0 on (0, 1).
+in (0, 1). Strict interior ordering lo < a < b < c < d < hi holds in
+exact arithmetic because fraction^2 - 3*fraction + 2 > 0 on (0, 1).
 
 Applying the split interval-by-interval on a common refinement builds,
 for any mixing weight, a single step laminate whose twelve parameters are
@@ -24,67 +24,45 @@ just the trig family.
 import math
 from dataclasses import dataclass
 
-from .errors import AlphaOutOfRange, DegenerateInterval, InvariantViolation
+from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
 from .step import ANGLE_MERGE_TOL, StepLaminate, refine
 
 
-@dataclass(frozen=True)
-class IntervalSplit:
-    """A moment-matched two-interval subset of (lo, hi).
+def matched_split(lo, hi, fraction: float):
+    """(a, b, c, d) of the split of (lo, hi) whose matched set
+    E = (a, b) u (c, d) carries `fraction` of all three moments; the
+    complement (lo, a) u (b, c) u (d, hi) carries the rest.
 
-    The matched set E = (a, b) u (c, d) carries `fraction` of the
-    interval's moments of order 0, 1, 2; the complement
-    (lo, a) u (b, c) u (d, hi) carries the rest. Both subintervals of E
-    share the single stored width `pair_width` (b and d are constructed
-    as a + pair_width and c + pair_width); `center_gap` is the distance
-    between their midpoints.
-    """
-
-    lo: float
-    hi: float
-    fraction: float
-    a: float
-    b: float
-    c: float
-    d: float
-    pair_width: float
-    center_gap: float
-
-    def __post_init__(self):
-        if not (self.lo < self.a < self.b < self.c < self.d < self.hi):
-            raise InvariantViolation(
-                "split points not strictly ordered inside the interval: "
-                f"{(self.lo, self.a, self.b, self.c, self.d, self.hi)}")
-
-
-def matched_split(lo: float, hi: float, fraction: float) -> IntervalSplit:
-    """Split (lo, hi) so the matched set carries `fraction` of all three
-    moments.
+    lo and hi are floats, or float64 arrays of one shape split
+    elementwise; fraction is one float. Both take the same IEEE
+    operations, so an array gives bit for bit the floats of one call per
+    interval. b and d are built as a + width and c + width from the one
+    shared width fraction * (hi - lo) / 2. The strict order
+    lo < a < b < c < d < hi holds in exact arithmetic; in floating point
+    the points of a tiny interval, or at a fraction within a few units of
+    round-off of 0 or 1, may coincide with each other or an end.
 
     Raises:
-        DegenerateInterval: if lo >= hi or an endpoint is not finite.
+        DegenerateInterval: if some lo >= hi or an endpoint is not finite.
         AlphaOutOfRange: if fraction is not strictly inside (0, 1).
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DegenerateInterval(f"cannot split interval ({lo}, {hi})")
+    # a bool for floats, so that a scalar call does not need numpy
+    ok = (-math.inf < lo) & (lo < hi) & (hi < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        import numpy as np
+        i = np.argmin(ok)
+        los, his = (np.ravel(v) for v in np.broadcast_arrays(lo, hi))
+        raise DegenerateInterval(f"cannot split interval ({los[i]}, {his[i]})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
-    return IntervalSplit(lo, hi, fraction, *_split_points(lo, hi, fraction))
-
-
-def _split_points(lo: float, hi: float, fraction: float) -> tuple[float, ...]:
-    """(a, b, c, d, pair_width, center_gap) of the matched split, unchecked:
-    in floating point, points of a tiny interval or piece may coincide."""
     half = 0.5 * (hi - lo)
     width = fraction * half
     gap = half * math.sqrt((4.0 - fraction * fraction) / 3.0)
     mid = 0.5 * (lo + hi)
-    x = mid - 0.5 * gap
-    y = mid + 0.5 * gap
-    a = x - 0.5 * width
-    c = y - 0.5 * width
-    return a, a + width, c, c + width, width, gap
+    a = (mid - 0.5 * gap) - 0.5 * width
+    c = (mid + 0.5 * gap) - 0.5 * width
+    return a, a + width, c, c + width
 
 
 def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLaminate:
@@ -92,36 +70,45 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     (1 - alpha) * params(t1) + alpha * params(t2), componentwise.
 
     On each interval of the common refinement where the two angles agree
-    (within ANGLE_MERGE_TOL) a single piece is emitted. Otherwise the
-    interval is split with the matched fraction (1 - alpha) carrying t1's
-    angle and the complement carrying t2's, giving at most 5 pieces per
-    refinement interval. The output partition is not simplified.
+    (within ANGLE_MERGE_TOL) a single piece with t1's angle is emitted.
+    Otherwise the interval is split with the matched fraction (1 - alpha)
+    carrying t1's angle and the complement carrying t2's, giving 5 pieces:
+    one `matched_split` call splits every such interval at once.
+    `from_pieces` then drops the pieces thinner than its merge tolerance,
+    among them any whose split points coincided in floating point. The
+    output partition is not simplified, and its angles are the input
+    angle objects themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
     """
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
+    if alpha == 0.0 or 1.0 - alpha == 1.0:
+        # weight exactly 1 on t1 in floating point: t1 is the combination
         return t1
     if alpha == 1.0:
         return t2
+    import numpy as np
     rp = refine(t1, t2)
-    pieces: list[tuple[float, float]] = []
-    for i in range(len(rp.angles1)):
-        right = rp.breakpoints[i + 1]
-        ang1 = rp.angles1[i]
-        ang2 = rp.angles2[i]
-        if abs(ang1 - ang2) < ANGLE_MERGE_TOL:
-            pieces.append((right, ang1))
-            continue
-        s = matched_split(rp.breakpoints[i], right, 1.0 - alpha)
-        pieces.append((s.a, ang2))
-        pieces.append((s.b, ang1))
-        pieces.append((s.c, ang2))
-        pieces.append((s.d, ang1))
-        pieces.append((right, ang2))
-    return StepLaminate.from_pieces(pieces)
+    n = len(rp.angles1)
+    edges = np.array(rp.breakpoints)
+    ang1 = np.array(rp.angles1, dtype=object)
+    ang2 = np.array(rp.angles2, dtype=object)
+    differ = np.abs(ang1.astype(np.float64) - ang2.astype(np.float64)) >= ANGLE_MERGE_TOL
+    # one block of 5 pieces per refinement interval; an interval whose
+    # angles agree keeps only the last piece, the whole interval with t1's angle
+    rights = np.empty((n, 5))
+    rights[differ, :4] = np.column_stack(
+        matched_split(edges[:-1][differ], edges[1:][differ], 1.0 - alpha))
+    rights[:, 4] = edges[1:]
+    angles = np.empty((n, 5), dtype=object)
+    angles[:, 0::2] = ang2[:, None]
+    angles[:, 1::2] = ang1[:, None]
+    angles[~differ, 4] = ang1[~differ]
+    keep = np.ones((n, 5), dtype=bool)
+    keep[~differ, :4] = False
+    return StepLaminate.from_pieces(rights[keep], angles[keep])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import itemgetter, lt
+from itertools import compress, islice
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
@@ -117,30 +117,34 @@ class StepLaminate:
         return self.angles[pos - 1]
 
     @classmethod
-    def from_pieces(cls, pieces: Iterable[tuple[float, float]]) -> "StepLaminate":
-        """Assemble from (right_edge, angle) pieces starting at -1.
+    def from_pieces(cls, rights: np.ndarray, angles: np.ndarray) -> "StepLaminate":
+        """Assemble from pieces starting at -1: piece i ends at rights[i]
+        (a float array) and carries angles[i] (an object array, or any
+        sequence of the same length).
 
         Pieces narrower than BREAKPOINT_MERGE_TOL are dropped; their sliver
         of thickness is absorbed by the neighbouring piece. The final right
         edge must be 1 (within tolerance) and is snapped to exactly 1.0.
+        The angles kept are the objects of `angles` themselves.
         """
         import numpy as np
-        if not isinstance(pieces, (list, tuple)):
-            pieces = list(pieces)
-        rights = np.fromiter(map(itemgetter(0), pieces), np.float64, len(pieces))
-        keep = _kept(rights, -1.0, BREAKPOINT_MERGE_TOL).tolist()
-        del rights
-        last_right = pieces[-1][0] if pieces else -1.0
+        rights = np.asarray(rights, dtype=np.float64)
+        keep = _kept(rights, -1.0, BREAKPOINT_MERGE_TOL)
+        last_right = float(rights[-1]) if rights.size else -1.0
         if not abs(last_right - 1.0) <= BREAKPOINT_MERGE_TOL:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
                                      field="breakpoints")
-        angles = tuple(compress(map(itemgetter(1), pieces), keep))
-        if not angles:
+        angles = np.asarray(angles, dtype=object)
+        if angles.shape != rights.shape:
+            raise InvariantViolation(f"{angles.size} angles for {rights.size} pieces",
+                                     field="angles")
+        kept = tuple(angles[keep])
+        if not kept:
             raise InvariantViolation("no piece wider than the merge tolerance",
                                      field="angles")
-        inner = islice(compress(map(itemgetter(0), pieces), keep), len(angles) - 1)
-        edges = tuple(chain((-1.0,), inner, (1.0,)))
-        return cls(edges, angles)
+        edges = rights[keep].tolist()
+        edges[-1] = 1.0
+        return cls((-1.0, *edges), kept)
 
 
 @dataclass(frozen=True)

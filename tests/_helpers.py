@@ -6,7 +6,14 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from lamconvex import StepLaminate, lamination_parameters, trig_values
+from lamconvex import (
+    ANGLE_MERGE_TOL,
+    BREAKPOINT_MERGE_TOL,
+    StepLaminate,
+    lamination_parameters,
+    refine,
+    trig_values,
+)
 
 
 def random_laminate(rng, max_plies=8, angle_span=math.pi, min_gap=1e-6):
@@ -90,6 +97,43 @@ def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:
             for k in range(4):
                 out[4 * j + k] += prefactor * tv[k] * m[j]
     return out
+
+
+def combine_reference(t1, t2, alpha):
+    """convex_combine as one scalar loop over the refinement intervals.
+
+    Each interval whose angles differ gets its own matched split, by the
+    package's formula written out with no ordering check, and emits five
+    (right, angle) pieces with t1 on the matched set. A piece less than
+    BREAKPOINT_MERGE_TOL above the last kept edge is dropped, and the last
+    kept edge is snapped to 1.
+    """
+    if alpha == 0.0 or 1.0 - alpha == 1.0:
+        return t1
+    if alpha == 1.0:
+        return t2
+    f = 1.0 - alpha
+    rp = refine(t1, t2)
+    pieces = []
+    for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
+                                  rp.angles1, rp.angles2):
+        if abs(ang1 - ang2) < ANGLE_MERGE_TOL:
+            pieces.append((hi, ang1))
+            continue
+        half = 0.5 * (hi - lo)
+        width = f * half
+        gap = half * math.sqrt((4.0 - f * f) / 3.0)
+        mid = 0.5 * (lo + hi)
+        a = (mid - 0.5 * gap) - 0.5 * width
+        c = (mid + 0.5 * gap) - 0.5 * width
+        pieces += [(a, ang2), (a + width, ang1), (c, ang2), (c + width, ang1), (hi, ang2)]
+    edges, angles = [-1.0], []
+    for right, angle in pieces:
+        if not right - edges[-1] < BREAKPOINT_MERGE_TOL:
+            edges.append(right)
+            angles.append(angle)
+    edges[-1] = 1.0
+    return StepLaminate(tuple(edges), tuple(angles))
 
 
 def max_param_diff(p, q) -> float:

@@ -75,12 +75,12 @@ def test_split_moment_matching():
     for _ in range(1000):
         lo, hi = sorted((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
         alpha = rng.uniform(0.001, 0.999)
-        s = matched_split(lo, hi, alpha)
-        assert lo < s.a < s.b < s.c < s.d < hi
-        assert abs((s.b - s.a) - (s.d - s.c)) <= WIDTH_ULPS
-        assert abs((s.b - s.a) - s.pair_width) <= WIDTH_ULPS
+        a, b, c, d = matched_split(lo, hi, alpha)
+        assert lo < a < b < c < d < hi
+        assert abs((b - a) - (d - c)) <= WIDTH_ULPS
+        assert abs((b - a) - alpha * (0.5 * (hi - lo))) <= WIDTH_ULPS
         whole = moments(lo, hi)
-        matched = tuple(map(add, moments(s.a, s.b), moments(s.c, s.d)))
+        matched = tuple(map(add, moments(a, b), moments(c, d)))
         for got, want in zip(matched, whole):
             err = abs(got - alpha * want)
             assert err <= 1e-12 * max(1.0, abs(want))
@@ -97,10 +97,12 @@ def test_split_feasibility():
     quadratic = alphas * alphas - 3.0 * alphas + 2.0
     assert (quadratic > 0.0).all()
     lo, hi = -1.0, 1.0
-    for alpha in alphas:
-        s = matched_split(lo, hi, float(alpha))
-        assert s.center_gap > s.pair_width
-        assert s.center_gap + s.pair_width < hi - lo
+    for alpha in alphas.tolist():
+        a, b, c, d = matched_split(lo, hi, alpha)
+        # the pair of width b - a, centers c - a apart, fits inside (lo, hi)
+        # without overlap
+        assert c - a > b - a
+        assert (c - a) + (b - a) < hi - lo
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] split-feasibility: PASS "

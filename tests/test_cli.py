@@ -130,10 +130,6 @@ class TestCombine:
         assert code == 1
         assert "FAIL" in out
 
-    # Known defect (ROADMAP item 3): collapsed split points raise
-    # InvariantViolation, reported as a usage error (exit 2).
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="collapsed split points raise")
     def test_near_coincident_breakpoints(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         save_laminate(StepLaminate((-1.0, 0.5, 1.0), (0.0, math.pi / 2)), f1)
@@ -141,6 +137,16 @@ class TestCombine:
         code, out, _ = run_cli(capsys, "combine", f1, f2, "--alpha", "1e-4")
         assert code == 0
         assert "PASS" in out
+
+    def test_alpha_lost_against_one(self, capsys, cross_pair, tmp_path):
+        # 1 - 1e-17 rounds to 1: the combination is the first input
+        f0, f90 = cross_pair
+        out_path = tmp_path / "mix.json"
+        code, out, _ = run_cli(capsys, "combine", f0, f90, "--alpha", "1e-17",
+                               "--out", out_path)
+        assert code == 0
+        assert "PASS" in out
+        assert load_laminate(out_path).breakpoints == (-1.0, 1.0)
 
     def test_alpha_domain_error(self, capsys, cross_pair):
         f0, f90 = cross_pair

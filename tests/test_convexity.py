@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from lamconvex import (
     AlphaOutOfRange,
     DegenerateInterval,
-    InvariantViolation,
     StepLaminate,
     blend,
     convex_combine,
@@ -21,7 +21,15 @@ from lamconvex import (
     weighted_moments,
 )
 
-from _helpers import max_param_diff, random_laminate
+from lamconvex import convexity
+
+from _helpers import (
+    close_laminates,
+    combine_reference,
+    laminates,
+    max_param_diff,
+    random_laminate,
+)
 
 # Two float subtractions of shared-width endpoints can disagree in the
 # last bit; this is the measurement precision of widths near magnitude 1.
@@ -33,53 +41,65 @@ def summed_moments(*intervals):
     return tuple(map(sum, zip(*(moments(lo, hi) for lo, hi in intervals))))
 
 
-def matched_moments(s):
-    return summed_moments((s.a, s.b), (s.c, s.d))
-
-
-def assert_matched(s, rel=1e-12):
-    whole = moments(s.lo, s.hi)
-    matched = matched_moments(s)
-    complement = summed_moments((s.lo, s.a), (s.b, s.c), (s.d, s.hi))
+def assert_matched(lo, hi, fraction, points, rel=1e-12):
+    a, b, c, d = points
+    whole = moments(lo, hi)
+    matched = summed_moments((a, b), (c, d))
+    complement = summed_moments((lo, a), (b, c), (d, hi))
     for got, want in zip(matched, whole):
-        assert abs(got - s.fraction * want) <= rel * max(1.0, abs(want))
+        assert abs(got - fraction * want) <= rel * max(1.0, abs(want))
     for got, m, w in zip(complement, matched, whole):
         assert got + m == pytest.approx(w, abs=1e-12)
 
 
 class TestMatchedSplit:
     def test_symmetric_half(self):
-        s = matched_split(-1.0, 1.0, 0.5)
-        assert s.pair_width == 0.5
-        assert s.center_gap == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-15)
+        a, b, c, d = matched_split(-1.0, 1.0, 0.5)
+        assert b - a == pytest.approx(0.5, abs=1e-15)
+        assert d - c == pytest.approx(0.5, abs=1e-15)
+        assert (c + d) / 2 - (a + b) / 2 == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-15)
         # frozen from the construction; agrees with the quoted 5-decimal
         # approximations to 1e-5
-        assert (s.a, s.b, s.c, s.d) == pytest.approx(
+        assert (a, b, c, d) == pytest.approx(
             (-0.8090169943749475, -0.30901699437494745,
              0.30901699437494745, 0.8090169943749475), abs=1e-15)
-        assert matched_moments(s) == pytest.approx((1.0, 0.0, 1.0 / 3.0), abs=1e-15)
-        assert_matched(s)
+        assert summed_moments((a, b), (c, d)) == pytest.approx(
+            (1.0, 0.0, 1.0 / 3.0), abs=1e-15)
+        assert_matched(-1.0, 1.0, 0.5, (a, b, c, d))
 
     def test_unit_interval_half(self):
-        s = matched_split(0.0, 1.0, 0.5)
-        assert (s.a, s.b, s.c, s.d) == pytest.approx(
+        points = matched_split(0.0, 1.0, 0.5)
+        assert points == pytest.approx(
             (0.09549150281252627, 0.3454915028125263,
              0.6545084971874737, 0.9045084971874737), abs=1e-15)
         # affine equivariance: the same split mapped from (-1, 1) by
         # z -> (z + 1) / 2
         ref = matched_split(-1.0, 1.0, 0.5)
-        for got, want in zip((s.a, s.b, s.c, s.d),
-                             ((ref.a + 1) / 2, (ref.b + 1) / 2,
-                              (ref.c + 1) / 2, (ref.d + 1) / 2)):
-            assert got == pytest.approx(want, abs=1e-15)
-        assert matched_moments(s) == pytest.approx((0.5, 0.25, 1.0 / 6.0), abs=1e-15)
+        for got, want in zip(points, ref):
+            assert got == pytest.approx((want + 1) / 2, abs=1e-15)
+        a, b, c, d = points
+        assert summed_moments((a, b), (c, d)) == pytest.approx(
+            (0.5, 0.25, 1.0 / 6.0), abs=1e-15)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 1e-9])
     def test_tends_to_whole_interval(self, delta):
-        s = matched_split(-1.0, 1.0, 1.0 - delta)
-        assert s.a - -1.0 < 5 * delta
-        assert 1.0 - s.d < 5 * delta
-        assert s.c - s.b < 5 * delta
+        a, b, c, d = matched_split(-1.0, 1.0, 1.0 - delta)
+        assert a - -1.0 < 5 * delta
+        assert 1.0 - d < 5 * delta
+        assert c - b < 5 * delta
+
+    def test_returns_floats_for_floats(self):
+        assert {type(p) for p in matched_split(-0.25, 0.5, 0.3)} == {float}
+
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        rng = random.Random(11)
+        lo = np.array(sorted(rng.uniform(-1.0, 1.0) for _ in range(200)))
+        hi = lo + np.array([rng.uniform(1e-15, 1.0) for _ in range(200)])
+        for fraction in (1e-16, 0.3, 1.0 - 1e-16):
+            arrays = matched_split(lo, hi, fraction)
+            scalars = [matched_split(l, h, fraction) for l, h in zip(lo.tolist(), hi.tolist())]
+            assert [list(map(float.hex, col.tolist())) for col in arrays] == \
+                [[p.hex() for p in col] for col in zip(*scalars)]
 
     def test_rejects_bad_fraction(self):
         for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
@@ -91,11 +111,17 @@ class TestMatchedSplit:
             matched_split(0.5, 0.5, 0.3)
         with pytest.raises(DegenerateInterval):
             matched_split(1.0, -1.0, 0.3)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DegenerateInterval):
+                matched_split(bad, 1.0, 0.3)
+            with pytest.raises(DegenerateInterval):
+                matched_split(-1.0, bad, 0.3)
 
-    def test_rejects_collapsed_points(self):
-        # pieces of a 1.5e-12-wide interval round onto its ends
-        with pytest.raises(InvariantViolation, match="strictly ordered"):
-            matched_split(0.5, 0.5 + 1.5e-12, 1.0 - 1e-4)
+    def test_rejects_degenerate_interval_in_array(self):
+        lo = np.array([-1.0, 0.0, 0.25])
+        hi = np.array([0.0, 0.5, 0.25])
+        with pytest.raises(DegenerateInterval, match=r"\(0\.25, 0\.25\)"):
+            matched_split(lo, hi, 0.3)
 
     @settings(max_examples=300)
     @given(
@@ -107,23 +133,16 @@ class TestMatchedSplit:
         if ka == kb:
             kb = ka + 1
         lo, hi = sorted((ka / 1000.0, kb / 1000.0))
-        s = matched_split(lo, hi, fraction)
-        assert lo < s.a < s.b < s.c < s.d < hi
-        assert s.pair_width == fraction * (0.5 * (hi - lo))
-        assert abs((s.b - s.a) - s.pair_width) <= WIDTH_ULPS
-        assert abs((s.d - s.c) - s.pair_width) <= WIDTH_ULPS
-        assert abs((s.b - s.a) - (s.d - s.c)) <= WIDTH_ULPS
-        assert_matched(s)
+        a, b, c, d = matched_split(lo, hi, fraction)
+        assert lo < a < b < c < d < hi
+        width = fraction * (0.5 * (hi - lo))
+        assert abs((b - a) - width) <= WIDTH_ULPS
+        assert abs((d - c) - width) <= WIDTH_ULPS
+        assert abs((b - a) - (d - c)) <= WIDTH_ULPS
+        assert_matched(lo, hi, fraction, (a, b, c, d))
 
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
-
-# Known defect (ROADMAP item 3): where split points coincide in floating
-# point, matched_split's ordering check raises inside convex_combine,
-# though the input is valid.
-COLLAPSED_SPLIT = pytest.mark.xfail(raises=InvariantViolation, strict=True,
-                                    reason="collapsed split points raise")
-
 
 class TestConvexCombine:
     def test_endpoint_weights_return_inputs(self):
@@ -134,6 +153,55 @@ class TestConvexCombine:
             assert got.breakpoints == want.breakpoints
             assert got.angles == want.angles
 
+    @pytest.mark.parametrize("alpha", [2.0**-54, 1e-17, 5e-324])
+    def test_alpha_lost_against_one_returns_first_input(self, alpha):
+        # 1 - alpha rounds to 1: the weight on t1 is exactly 1
+        t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, math.pi / 2))
+        t2 = StepLaminate((-1.0, 1.0), (math.pi / 4,))
+        assert 1.0 - alpha == 1.0
+        assert convex_combine(t1, t2, alpha) is t1
+        report = verify_combination(t1, t2, alpha, t1)
+        assert report.max_residual == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(laminates(), close_laminates()),
+           st.one_of(laminates(), close_laminates()),
+           st.one_of(st.sampled_from([1e-16, 1e-9, 0.3, 1.0 - 1e-9]),
+                     st.floats(min_value=0.0, max_value=1.0,
+                               exclude_min=True, exclude_max=True)))
+    def test_matches_per_interval_reference(self, t1, t2, alpha):
+        # never raises on valid input, and equals the scalar loop bit for bit
+        got = convex_combine(t1, t2, alpha)
+        want = combine_reference(t1, t2, alpha)
+        assert list(map(float.hex, got.breakpoints)) == list(map(float.hex, want.breakpoints))
+        assert list(map(float.hex, got.angles)) == list(map(float.hex, want.angles))
+
+    def test_one_matched_split_call_per_combination(self, monkeypatch):
+        calls = []
+
+        def counted(lo, hi, fraction):
+            calls.append(np.size(lo))
+            return matched_split(lo, hi, fraction)
+
+        monkeypatch.setattr(convexity, "matched_split", counted)
+        rng = random.Random(5)
+        pairs = [(random_laminate(rng), random_laminate(rng)) for _ in range(10)]
+        t = pairs[0][0]
+        for t1, t2 in pairs + [(t, t)]:
+            calls.clear()
+            convex_combine(t1, t2, 0.3)
+            assert len(calls) == 1
+        assert calls == [0]  # t against itself: nothing to split
+
+    def test_output_angles_are_input_objects(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            t1, t2 = random_laminate(rng), random_laminate(rng)
+            inputs = {id(a) for a in t1.angles + t2.angles}
+            for alpha in ALPHAS:
+                out = convex_combine(t1, t2, alpha)
+                assert all(id(a) in inputs for a in out.angles)
+
     def test_refinement_midpoint_on_merged_away_breakpoint(self):
         t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
         t2 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
@@ -141,21 +209,19 @@ class TestConvexCombine:
             report = verify_combination(t1, t2, alpha, convex_combine(t1, t2, alpha))
             assert report.passed, (alpha, report.max_residual)
 
-    @COLLAPSED_SPLIT
     @pytest.mark.parametrize("alpha", [1e-16, 1.0 - 1e-16])
     def test_extreme_alpha_collapses_split_points(self, alpha):
         # the split pieces carrying the small weight are thinner than one
-        # float step, so split points coincide
+        # float step, so split points coincide; from_pieces drops them
         t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, math.pi / 2))
         t2 = StepLaminate((-1.0, 1.0), (math.pi / 4,))
         report = verify_combination(t1, t2, alpha, convex_combine(t1, t2, alpha))
         assert report.passed, report.max_residual
 
-    @COLLAPSED_SPLIT
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
     def test_near_coincident_breakpoints(self, alpha):
         # the refinement keeps an interval 1.5e-12 wide, whose split points
-        # round onto or past its ends
+        # round onto or past its ends; from_pieces drops those pieces
         t1 = StepLaminate((-1.0, 0.5, 1.0), (0.0, math.pi / 2))
         t2 = StepLaminate((-1.0, 0.5 + 1.5e-12, 1.0), (math.pi / 4, math.pi / 4))
         report = verify_combination(t1, t2, alpha, convex_combine(t1, t2, alpha))

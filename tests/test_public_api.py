@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CombinationReport",
     "ConvergenceRow",
     "DegenerateInterval",
-    "IntervalSplit",
     "InvariantViolation",
     "JOutOfRange",
     "LamConvexError",
@@ -49,7 +48,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 40
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 39
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -221,31 +221,33 @@ class TestStepLaminate:
             t.value_at(1.5)
 
     def test_from_pieces_drops_leading_sliver(self):
-        t = StepLaminate.from_pieces([(-1.0 + 5e-13, 0.3), (0.5, 0.7), (1.0, 0.9)])
+        t = StepLaminate.from_pieces(np.array([-1.0 + 5e-13, 0.5, 1.0]), [0.3, 0.7, 0.9])
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.7, 0.9)
 
     def test_from_pieces_drops_trailing_sliver(self):
-        t = StepLaminate.from_pieces([(0.5, 0.1), (1.0 - 5e-13, 0.2), (1.0, 0.3)])
+        t = StepLaminate.from_pieces(np.array([0.5, 1.0 - 5e-13, 1.0]), [0.1, 0.2, 0.3])
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.1, 0.2)
 
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
-            StepLaminate.from_pieces([(0.0, 0.3)])
+            StepLaminate.from_pieces(np.array([0.0]), [0.3])
 
     def test_from_pieces_rejects_nan_end(self):
         with pytest.raises(InvariantViolation) as info:
-            StepLaminate.from_pieces([(0.5, 0.1), (math.nan, 0.2)])
+            StepLaminate.from_pieces(np.array([0.5, math.nan]), [0.1, 0.2])
         assert info.value.field == "breakpoints"
 
     def test_from_pieces_two_slivers_in_a_row(self):
         # each piece is measured from the last kept edge: the second
         # sliver is 1.2e-12 above 0 and survives, a 0.8e-12 one does not
-        t = StepLaminate.from_pieces([(0.0, 0.1), (0.6e-12, 0.2), (1.2e-12, 0.3), (1.0, 0.4)])
+        t = StepLaminate.from_pieces(np.array([0.0, 0.6e-12, 1.2e-12, 1.0]),
+                                   [0.1, 0.2, 0.3, 0.4])
         assert t.breakpoints == (-1.0, 0.0, 1.2e-12, 1.0)
         assert t.angles == (0.1, 0.3, 0.4)
-        t = StepLaminate.from_pieces([(0.0, 0.1), (0.4e-12, 0.2), (0.8e-12, 0.3), (1.0, 0.4)])
+        t = StepLaminate.from_pieces(np.array([0.0, 0.4e-12, 0.8e-12, 1.0]),
+                                   [0.1, 0.2, 0.3, 0.4])
         assert t.breakpoints == (-1.0, 0.0, 1.0)
         assert t.angles == (0.1, 0.4)
 
@@ -269,12 +271,22 @@ class TestStepLaminate:
                 return exc.field, exc.index, str(exc)
             return t.breakpoints, t.angles
 
-        assert outcome(lambda: StepLaminate.from_pieces(pieces)) == \
+        piece_angles = np.array([angle for _, angle in pieces], dtype=object)
+        assert outcome(lambda: StepLaminate.from_pieces(np.array(rights), piece_angles)) == \
             outcome(lambda: StepLaminate(tuple(edges), tuple(angles)))
+
+    def test_from_pieces_empty(self):
+        with pytest.raises(InvariantViolation, match="pieces end at -1.0"):
+            StepLaminate.from_pieces(np.empty(0), [])
+
+    def test_from_pieces_rejects_length_mismatch(self):
+        with pytest.raises(InvariantViolation, match="1 angles for 2 pieces") as info:
+            StepLaminate.from_pieces(np.array([0.0, 1.0]), [0.3])
+        assert info.value.field == "angles"
 
     def test_from_pieces_keeps_angle_objects(self):
         angle = math.pi / 7
-        t = StepLaminate.from_pieces([(0.0, angle), (1.0, 0.5)])
+        t = StepLaminate.from_pieces(np.array([0.0, 1.0]), np.array([angle, 0.5], dtype=object))
         assert t.angles[0] is angle
 
 
