@@ -49,8 +49,6 @@ from .parameters import (
     weighted_moments,
 )
 from .step import (
-    ANGLE_MERGE_TOL,
-    BREAKPOINT_MERGE_TOL,
     RefinedPair,
     StepLaminate,
     moments,
@@ -61,9 +59,7 @@ from .step import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANGLE_MERGE_TOL",
     "AlphaOutOfRange",
-    "BREAKPOINT_MERGE_TOL",
     "CombinationReport",
     "ConvergenceRow",
     "DegenerateInterval",

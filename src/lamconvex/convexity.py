@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
-from .step import ANGLE_MERGE_TOL, StepLaminate, refine
+from .step import StepLaminate, refine
 
 
 def matched_split(lo, hi, fraction: float):
@@ -69,15 +69,14 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     """Build a step laminate whose parameters equal
     (1 - alpha) * params(t1) + alpha * params(t2), componentwise.
 
-    On each interval of the common refinement where the two angles agree
-    (within ANGLE_MERGE_TOL) a single piece with t1's angle is emitted.
-    Otherwise the interval is split with the matched fraction (1 - alpha)
-    carrying t1's angle and the complement carrying t2's, giving 5 pieces:
-    one `matched_split` call splits every such interval at once.
-    `from_pieces` then drops the pieces thinner than its merge tolerance,
-    among them any whose split points coincided in floating point. The
-    output partition is not simplified, and its angles are the input
-    angle objects themselves.
+    On each interval of the common refinement where the two angles are
+    equal a single piece with t1's angle is emitted. Otherwise the
+    interval is split with the matched fraction (1 - alpha) carrying t1's
+    angle and the complement carrying t2's, giving 5 pieces: one
+    `matched_split` call splits every such interval at once.
+    `from_pieces` then drops only the pieces whose split points coincided
+    or crossed in floating point. The output partition is not simplified,
+    and its angles are the input angle objects themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
@@ -95,7 +94,7 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     edges = np.array(rp.breakpoints)
     ang1 = np.array(rp.angles1, dtype=object)
     ang2 = np.array(rp.angles2, dtype=object)
-    differ = np.abs(ang1.astype(np.float64) - ang2.astype(np.float64)) >= ANGLE_MERGE_TOL
+    differ = ang1 != ang2
     # one block of 5 pieces per refinement interval; an interval whose
     # angles agree keeps only the last piece, the whole interval with t1's angle
     rights = np.empty((n, 5))

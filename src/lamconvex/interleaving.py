@@ -44,7 +44,7 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
-from .step import StepLaminate, _angle_index, _midpoints, merge_close
+from .step import StepLaminate, _angle_index, merge_close
 
 Number = Union[Fraction, int, float]
 
@@ -73,10 +73,8 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
 
     Cell i spans (-1 + 2i/n, -1 + 2(i+1)/n); its first fraction alpha
     takes t1's values and the remainder takes t2's. Breakpoints of t1 and
-    t2 are folded in so the result is a valid step laminate; edges closer
-    than BREAKPOINT_MERGE_TOL merge as in `merge_close`. Each piece takes
-    its source and angle at its midpoint; a midpoint that lands on a
-    merged-away breakpoint takes the angle to its right.
+    t2 are folded in so the result is a valid step laminate; edges merge
+    only when equal. Each piece takes its source and angle at its midpoint.
     """
     import numpy as np
     _check_alpha(alpha)
@@ -86,14 +84,12 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
                           t1.breakpoints[1:-1], t2.breakpoints[1:-1]))
     raw.sort(kind="stable")
     bps = merge_close(raw.tolist())
-    mids = _midpoints(np.array(bps))
+    edges = np.array(bps)
+    mids = 0.5 * (edges[:-1] + edges[1:])
     v = n * (mids + 1.0) / 2.0
     first = v - np.floor(v) < alpha
     index = np.where(first, _angle_index(t1, mids), _angle_index(t2, mids) + t1.ply_count)
     angles = np.array(t1.angles + t2.angles, dtype=object)[index]
-    # merge_close leaves no gap below the merge tolerance, so no piece is
-    # a sliver; only the end is snapped to 1, as from_pieces does.
-    bps[-1] = 1.0
     return StepLaminate(tuple(bps), tuple(angles))
 
 

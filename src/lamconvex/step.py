@@ -17,14 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
 
-# Breakpoints closer than this are considered coincident and merged
-# (the smaller value is kept).
-BREAKPOINT_MERGE_TOL = 1e-12
-
-# Angles closer than this count as equal: convex_combine emits one piece,
-# not a split, on a refinement interval where both inputs' angles agree.
-ANGLE_MERGE_TOL = 1e-12
-
 
 def moments(lo: float, hi: float) -> tuple[float, float, float]:
     """Exact interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3), the
@@ -120,31 +112,25 @@ class StepLaminate:
     def from_pieces(cls, rights: np.ndarray, angles: np.ndarray) -> "StepLaminate":
         """Assemble from pieces starting at -1: piece i ends at rights[i]
         (a float array) and carries angles[i] (an object array, or any
-        sequence of the same length).
+        sequence of the same length). The last right edge must be exactly 1.
 
-        Pieces narrower than BREAKPOINT_MERGE_TOL are dropped; their sliver
-        of thickness is absorbed by the neighbouring piece. The final right
-        edge must be 1 (within tolerance) and is snapped to exactly 1.0.
-        The angles kept are the objects of `angles` themselves.
+        A piece whose right edge is not above every earlier edge (and -1) is
+        dropped: it is empty, or its split points crossed in floating point.
+        No other piece is dropped, however thin. The angles kept are the
+        objects of `angles` themselves.
         """
         import numpy as np
         rights = np.asarray(rights, dtype=np.float64)
-        keep = _kept(rights, -1.0, BREAKPOINT_MERGE_TOL)
         last_right = float(rights[-1]) if rights.size else -1.0
-        if not abs(last_right - 1.0) <= BREAKPOINT_MERGE_TOL:
+        if last_right != 1.0:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
                                      field="breakpoints")
         angles = np.asarray(angles, dtype=object)
         if angles.shape != rights.shape:
             raise InvariantViolation(f"{angles.size} angles for {rights.size} pieces",
                                      field="angles")
-        kept = tuple(angles[keep])
-        if not kept:
-            raise InvariantViolation("no piece wider than the merge tolerance",
-                                     field="angles")
-        edges = rights[keep].tolist()
-        edges[-1] = 1.0
-        return cls((-1.0, *edges), kept)
+        keep = _kept(rights, -1.0)
+        return cls((-1.0, *rights[keep].tolist()), tuple(angles[keep]))
 
 
 @dataclass(frozen=True)
@@ -157,34 +143,28 @@ class RefinedPair:
 
 
 def merge_close(sorted_values: Sequence[float]) -> list[float]:
-    """Collapse runs of near-coincident values, keeping the smallest of
-    each run. A value survives when it lies at least BREAKPOINT_MERGE_TOL
-    above the last value kept, so a run of steps each below it can still
-    keep some of its values. Input must be finite and sorted ascending; the
-    last kept value is snapped back to the overall maximum so interval ends
-    survive merging. The output holds the input's own objects.
+    """The distinct values of a sorted sequence: of each run of equal
+    values the first is kept. Input must be finite and sorted ascending.
+    The output holds the input's own objects.
     """
     import numpy as np
     values = np.asarray(sorted_values, dtype=np.float64)
-    keep = _kept(values[1:], values[0], BREAKPOINT_MERGE_TOL).tolist()
-    out = [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
-    out[-1] = sorted_values[-1]
-    return out
+    keep = _kept(values[1:], values[0]).tolist()
+    return [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
 
 
 def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     """Common refinement: the union of both breakpoint sets, with each
     input's constant value recorded per refinement interval.
 
-    Breakpoints of the two inputs closer than BREAKPOINT_MERGE_TOL are
-    merged (smaller kept). Each refinement interval takes each input's
-    angle at its midpoint; a midpoint that lands on a merged-away
-    breakpoint takes the angle to its right.
+    Breakpoints merge only when equal, so every breakpoint of either input
+    is a refinement breakpoint, and each interval takes each input's angle
+    at its left edge, exactly.
     """
     import numpy as np
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
-    mids = _midpoints(np.array(bps))
-    return RefinedPair(tuple(bps), _angles_at(t1, mids), _angles_at(t2, mids))
+    lefts = np.array(bps[:-1])
+    return RefinedPair(tuple(bps), _angles_at(t1, lefts), _angles_at(t2, lefts))
 
 
 def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
@@ -194,39 +174,14 @@ def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _kept(values: np.ndarray, start: float, tol: float) -> np.ndarray:
-    """Mask of the values that a left-to-right scan keeps when it keeps a
-    value unless it lies less than tol above the last value kept, with
-    `start` kept before values[0].
-
-    A value at least tol above every earlier value is kept whatever the
-    scan kept before it. Only the others, the runs of close values, are
-    decided one by one, in order.
-    """
+def _kept(values: np.ndarray, start: float) -> np.ndarray:
+    """Mask of the values above `start` and above every value before them."""
     import numpy as np
-    gap = np.empty_like(values)
-    gap[:1] = start
-    gap[1:] = values[:-1]
-    np.maximum.accumulate(gap, out=gap)
-    np.subtract(values, gap, out=gap)
-    keep = gap >= tol
-    unsure = np.flatnonzero(~keep)
-    if unsure.size:
-        # last_sure[i]: the last index before i that the test above kept, or -1
-        last_sure = np.where(keep, np.arange(values.size), -1)
-        np.maximum.accumulate(last_sure, out=last_sure)
-        last = -1
-        for i in unsure.tolist():
-            j = max(last, int(last_sure[i]))
-            ref = values[j] if j >= 0 else start
-            if not values[i] - ref < tol:
-                keep[i] = True
-                last = i
-    return keep
-
-
-def _midpoints(edges: np.ndarray) -> np.ndarray:
-    return 0.5 * (edges[:-1] + edges[1:])
+    before = np.empty_like(values)
+    before[:1] = start
+    before[1:] = values[:-1]
+    np.maximum.accumulate(before, out=before)
+    return values > before
 
 
 def _angle_index(t: StepLaminate, points: np.ndarray) -> np.ndarray:

@@ -7,8 +7,6 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from lamconvex import (
-    ANGLE_MERGE_TOL,
-    BREAKPOINT_MERGE_TOL,
     StepLaminate,
     lamination_parameters,
     refine,
@@ -104,9 +102,8 @@ def combine_reference(t1, t2, alpha):
 
     Each interval whose angles differ gets its own matched split, by the
     package's formula written out with no ordering check, and emits five
-    (right, angle) pieces with t1 on the matched set. A piece less than
-    BREAKPOINT_MERGE_TOL above the last kept edge is dropped, and the last
-    kept edge is snapped to 1.
+    (right, angle) pieces with t1 on the matched set. A piece is kept when
+    its right edge lies above the last kept edge.
     """
     if alpha == 0.0 or 1.0 - alpha == 1.0:
         return t1
@@ -117,7 +114,7 @@ def combine_reference(t1, t2, alpha):
     pieces = []
     for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
                                   rp.angles1, rp.angles2):
-        if abs(ang1 - ang2) < ANGLE_MERGE_TOL:
+        if ang1 == ang2:
             pieces.append((hi, ang1))
             continue
         half = 0.5 * (hi - lo)
@@ -129,10 +126,9 @@ def combine_reference(t1, t2, alpha):
         pieces += [(a, ang2), (a + width, ang1), (c, ang2), (c + width, ang1), (hi, ang2)]
     edges, angles = [-1.0], []
     for right, angle in pieces:
-        if not right - edges[-1] < BREAKPOINT_MERGE_TOL:
+        if right > edges[-1]:
             edges.append(right)
             angles.append(angle)
-    edges[-1] = 1.0
     return StepLaminate(tuple(edges), tuple(angles))
 
 
@@ -150,8 +146,7 @@ angles_strategy = st.floats(min_value=-math.pi, max_value=math.pi,
 
 @st.composite
 def laminates(draw, max_plies=6):
-    """Laminate strategy with interior breakpoints on a 1e-3 grid, so
-    partitions never collapse under the merge tolerance."""
+    """Laminate strategy with interior breakpoints on a 1e-3 grid."""
     plies = draw(st.integers(min_value=1, max_value=max_plies))
     interior = draw(st.lists(
         st.integers(min_value=-999, max_value=999).map(lambda k: k / 1000.0),
@@ -164,8 +159,7 @@ def laminates(draw, max_plies=6):
 @st.composite
 def close_laminates(draw, max_plies=7):
     """Laminate strategy with near-coincident breakpoints: 1e-3 grid
-    points, some with a neighbour 1e-15 to 1e-11 above them, so that some
-    gaps fall below the 1e-12 merge tolerance and some just above it."""
+    points, some with a neighbour 1e-15 to 1e-11 above them."""
     grid = draw(st.lists(
         st.integers(min_value=-999, max_value=998).map(lambda k: k / 1000.0),
         min_size=0, max_size=(max_plies - 1) // 2, unique=True))
@@ -173,6 +167,26 @@ def close_laminates(draw, max_plies=7):
                          min_size=len(grid), max_size=len(grid)))
     paired = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
     interior = sorted({*grid, *(b + g for b, g, p in zip(grid, gaps, paired) if p)})
+    angles = tuple(draw(st.lists(angles_strategy, min_size=len(interior) + 1,
+                                 max_size=len(interior) + 1)))
+    return StepLaminate((-1.0, *interior, 1.0), angles)
+
+
+@st.composite
+def float_laminates(draw, max_plies=7):
+    """Laminate strategy with interior breakpoints at full float
+    resolution, some with a neighbour one float step (math.nextafter)
+    above them, and some with a neighbour 1e-15 to 1e-2 above them."""
+    points = draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=0, max_size=(max_plies - 1) // 2, unique=True))
+    gaps = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=-15.0, max_value=-2.0).map(lambda e: 10.0**e)),
+        min_size=len(points), max_size=len(points)))
+    paired = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    neighbours = (math.nextafter(p, 1.0) if g == 0.0 else p + g
+                  for p, g, q in zip(points, gaps, paired) if q)
+    interior = sorted({*points, *(b for b in neighbours if b < 1.0)})
     angles = tuple(draw(st.lists(angles_strategy, min_size=len(interior) + 1,
                                  max_size=len(interior) + 1)))
     return StepLaminate((-1.0, *interior, 1.0), angles)

@@ -138,6 +138,16 @@ class TestCombine:
         assert code == 0
         assert "PASS" in out
 
+    def test_breakpoints_two_trillionths_apart(self, capsys, tmp_path):
+        # the (0, 2e-12) interval splits into pieces narrower than 1e-12,
+        # and all of them stay in the combination
+        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_laminate(StepLaminate((-1.0, 0.0, 1.0), (0.0, math.pi / 2)), f1)
+        save_laminate(StepLaminate((-1.0, 2e-12, 1.0), (math.pi / 4, -math.pi / 4)), f2)
+        code, out, _ = run_cli(capsys, "combine", f1, f2, "--alpha", "0.25", "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["max_residual"] <= 1e-15
+
     def test_alpha_lost_against_one(self, capsys, cross_pair, tmp_path):
         # 1 - 1e-17 rounds to 1: the combination is the first input
         f0, f90 = cross_pair
@@ -168,6 +178,27 @@ def test_tolerance_must_be_finite_and_non_negative(capsys, cross_pair, command,
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert "error: argument --tolerance: must be finite and >= 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("output", [(), ("--json",)])
+@pytest.mark.parametrize("command,option,value", [
+    ("oscillate", "--count", "0"),
+    ("oscillate", "--count", "-3"),
+    ("oscillate", "--cap", "0"),
+    ("gsequence", "--n", "8,0"),
+    ("gsequence", "--n", "-4"),
+])
+def test_counts_must_be_positive(capsys, cross_pair, command, option, value, output):
+    f0, f90 = cross_pair
+    argv = {"oscillate": ["--x=-1/2", "--alpha", "0.5"],
+            "gsequence": [f0, f90, "--alpha", "0.5", "--n", "4"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *map(str, argv), f"{option}={value}", *output])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"error: argument {option}: must be an integer >= 1" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

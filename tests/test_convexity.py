@@ -26,6 +26,7 @@ from lamconvex import convexity
 from _helpers import (
     close_laminates,
     combine_reference,
+    float_laminates,
     laminates,
     max_param_diff,
     random_laminate,
@@ -143,6 +144,9 @@ class TestMatchedSplit:
 
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+EXTREME_ALPHAS = st.one_of(st.sampled_from([1e-16, 1e-9, 0.3, 1.0 - 1e-9]),
+                           st.floats(min_value=0.0, max_value=1.0,
+                                     exclude_min=True, exclude_max=True))
 
 class TestConvexCombine:
     def test_endpoint_weights_return_inputs(self):
@@ -164,17 +168,22 @@ class TestConvexCombine:
         assert report.max_residual == 0.0
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(laminates(), close_laminates()),
-           st.one_of(laminates(), close_laminates()),
-           st.one_of(st.sampled_from([1e-16, 1e-9, 0.3, 1.0 - 1e-9]),
-                     st.floats(min_value=0.0, max_value=1.0,
-                               exclude_min=True, exclude_max=True)))
+    @given(st.one_of(laminates(), close_laminates(), float_laminates()),
+           st.one_of(laminates(), close_laminates(), float_laminates()),
+           EXTREME_ALPHAS)
     def test_matches_per_interval_reference(self, t1, t2, alpha):
         # never raises on valid input, and equals the scalar loop bit for bit
         got = convex_combine(t1, t2, alpha)
         want = combine_reference(t1, t2, alpha)
         assert list(map(float.hex, got.breakpoints)) == list(map(float.hex, want.breakpoints))
         assert list(map(float.hex, got.angles)) == list(map(float.hex, want.angles))
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_laminates(), float_laminates(), EXTREME_ALPHAS)
+    def test_full_resolution_inputs_meet_identity(self, t1, t2, alpha):
+        # no piece is dropped for being thin, so no measure moves
+        report = verify_combination(t1, t2, alpha, convex_combine(t1, t2, alpha))
+        assert report.passed, (alpha, report.max_residual)
 
     def test_one_matched_split_call_per_combination(self, monkeypatch):
         calls = []
@@ -299,13 +308,9 @@ class TestConvexCombine:
                      lamination_parameters(t3), 2.0 / 3.0)
         assert max_param_diff(p, mean) <= 1e-11
 
-    # Known defect (ROADMAP item 2): the first combination holds pieces
-    # 2e-12 wide; splitting them against C emits ten pieces narrower than
-    # 1e-12, which from_pieces drops, so the second combination misses the
-    # verdict tolerance (residual 2.8e-12; 2.9e-16 with exact merging).
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="the 1e-12 breakpoint merge moves measure (ROADMAP item 2)")
     def test_combination_of_a_combination(self):
+        # the first combination holds pieces 2e-12 wide; splitting them
+        # against c emits pieces narrower than 1e-12, which must all stay
         a = StepLaminate((-1.0, 0.0, 0.004, 1.0), (0.0, math.pi / 2, 0.0))
         b = StepLaminate((-1.0, 1.0), (math.pi / 4,))
         ab = convex_combine(a, b, 1.0 - 1e-9)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
-    BREAKPOINT_MERGE_TOL,
     AlphaOutOfRange,
     JOutOfRange,
     NotCoprime,
@@ -33,6 +32,7 @@ from _helpers import (
     close_laminates,
     exact_interleaved_parameters,
     exact_parameters,
+    float_laminates,
     laminates,
     ply_laminate,
     random_laminate,
@@ -79,17 +79,18 @@ class TestInterleave:
         with pytest.raises(ValueError):
             interleave(T0, T90, 0.5, 0)
 
-    def test_midpoint_on_merged_away_breakpoint(self):
-        # 0 and 7.5e-13 merge; the piece (0, 1.5e-12) has its midpoint on
-        # the dropped 7.5e-13 and takes the angle to its right
+    def test_keeps_near_coincident_breakpoints(self):
+        # 0, 7.5e-13 and 1.5e-12 all stay: the two thin pieces of the
+        # second cell's first half take t1's angles
         t1 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
         t2 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
         t = interleave(t1, t2, 0.5, 2)
-        assert t.breakpoints == (-1.0, -0.5, 0.0, 1.5e-12, 0.5, 1.0)
-        assert t.angles == (0.0, 0.0, 1.0, 0.5, 1.0)
+        assert t.breakpoints == (-1.0, -0.5, 0.0, 7.5e-13, 1.5e-12, 0.5, 1.0)
+        assert t.angles == (0.0, 0.0, 0.0, 1.0, 0.5, 1.0)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(laminates(), close_laminates()), st.one_of(laminates(), close_laminates()),
+    @given(st.one_of(laminates(), close_laminates(), float_laminates()),
+           st.one_of(laminates(), close_laminates(), float_laminates()),
            st.one_of(st.floats(min_value=1e-3, max_value=0.999),
                      st.sampled_from([1e-13, 0.5 - 1e-13, 0.5, 1.0 - 2.0**-53])),
            st.integers(min_value=1, max_value=64))
@@ -113,7 +114,8 @@ class TestInterleave:
 
 def loop_interleave(t1, t2, alpha, n):
     """The per-piece loop that `interleave` replaced, as its reference:
-    (breakpoints, angles). Raises UndefinedAtBreakpoint where it did."""
+    (breakpoints, angles). Raises UndefinedAtBreakpoint where a piece's
+    midpoint lands on a source breakpoint."""
     raw = []
     for i in range(n):
         left = -1.0 + (2.0 * i) / n
@@ -121,21 +123,14 @@ def loop_interleave(t1, t2, alpha, n):
     raw = sorted(raw + [1.0] + list(t1.breakpoints[1:-1]) + list(t2.breakpoints[1:-1]))
     edges = [raw[0]]
     for v in raw[1:]:
-        if v - edges[-1] >= BREAKPOINT_MERGE_TOL:
+        if v > edges[-1]:
             edges.append(v)
-    edges[-1] = raw[-1]
-    pieces = []
+    angles = []
     for lo, hi in zip(edges, edges[1:]):
         mid = 0.5 * (lo + hi)
         v = n * (mid + 1.0) / 2.0
-        pieces.append((hi, (t1 if v - math.floor(v) < alpha else t2).value_at(mid)))
-    out_bps, out_angles = [-1.0], []
-    for right, angle in pieces:
-        if right - out_bps[-1] >= BREAKPOINT_MERGE_TOL:
-            out_bps.append(right)
-            out_angles.append(angle)
-    out_bps[-1] = 1.0
-    return tuple(out_bps), tuple(out_angles)
+        angles.append((t1 if v - math.floor(v) < alpha else t2).value_at(mid))
+    return tuple(edges), tuple(angles)
 
 
 class TestInterleaveValue:

@@ -4,9 +4,7 @@ a diff of PUBLIC_NAMES."""
 import lamconvex
 
 PUBLIC_NAMES = [
-    "ANGLE_MERGE_TOL",
     "AlphaOutOfRange",
-    "BREAKPOINT_MERGE_TOL",
     "CombinationReport",
     "ConvergenceRow",
     "DegenerateInterval",
@@ -48,7 +46,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 39
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 37
 
 
 def test_star_import_binds_exactly_the_public_names():

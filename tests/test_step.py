@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
-    BREAKPOINT_MERGE_TOL,
     DegenerateInterval,
     InvariantViolation,
     StepLaminate,
@@ -18,7 +17,7 @@ from lamconvex import (
 )
 from lamconvex.step import merge_close
 
-from _helpers import close_laminates, laminates, random_laminate
+from _helpers import close_laminates, float_laminates, laminates, random_laminate
 
 
 def array_validation(breakpoints, angles):
@@ -221,14 +220,21 @@ class TestStepLaminate:
             t.value_at(1.5)
 
     def test_from_pieces_drops_leading_sliver(self):
-        t = StepLaminate.from_pieces(np.array([-1.0 + 5e-13, 0.5, 1.0]), [0.3, 0.7, 0.9])
+        # a split point that collapsed onto -1 leaves a zero-width piece
+        t = StepLaminate.from_pieces(np.array([-1.0, 0.5, 1.0]), [0.3, 0.7, 0.9])
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.7, 0.9)
 
     def test_from_pieces_drops_trailing_sliver(self):
-        t = StepLaminate.from_pieces(np.array([0.5, 1.0 - 5e-13, 1.0]), [0.1, 0.2, 0.3])
+        # a split point that collapsed onto 1 leaves a zero-width last piece
+        t = StepLaminate.from_pieces(np.array([0.5, 1.0, 1.0]), [0.1, 0.2, 0.3])
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.1, 0.2)
+
+    def test_from_pieces_requires_exact_end(self):
+        with pytest.raises(InvariantViolation, match="pieces end at") as info:
+            StepLaminate.from_pieces(np.array([0.5, 1.0 - 5e-13]), [0.1, 0.2])
+        assert info.value.field == "breakpoints"
 
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
@@ -240,16 +246,14 @@ class TestStepLaminate:
         assert info.value.field == "breakpoints"
 
     def test_from_pieces_two_slivers_in_a_row(self):
-        # each piece is measured from the last kept edge: the second
-        # sliver is 1.2e-12 above 0 and survives, a 0.8e-12 one does not
-        t = StepLaminate.from_pieces(np.array([0.0, 0.6e-12, 1.2e-12, 1.0]),
-                                   [0.1, 0.2, 0.3, 0.4])
-        assert t.breakpoints == (-1.0, 0.0, 1.2e-12, 1.0)
-        assert t.angles == (0.1, 0.3, 0.4)
-        t = StepLaminate.from_pieces(np.array([0.0, 0.4e-12, 0.8e-12, 1.0]),
-                                   [0.1, 0.2, 0.3, 0.4])
-        assert t.breakpoints == (-1.0, 0.0, 1.0)
-        assert t.angles == (0.1, 0.4)
+        # pieces 5e-13, 0.6e-12 and one float step wide are all kept, at
+        # either end and one after another
+        rights = [-1.0 + 5e-13, 0.0, 0.6e-12, 1.2e-12, math.nextafter(1.2e-12, 1.0),
+                  1.0 - 5e-13, 1.0]
+        angles = [0.1 * k for k in range(len(rights))]
+        t = StepLaminate.from_pieces(np.array(rights), angles)
+        assert t.breakpoints == (-1.0, *rights)
+        assert t.angles == tuple(angles)
 
     @given(st.lists(st.sampled_from([-0.3, -0.7e-12, 0.0, 0.4e-12, 0.9e-12, 1.1e-12, 0.25]),
                     max_size=14))
@@ -259,10 +263,9 @@ class TestStepLaminate:
         pieces = [(r, float(i)) for i, r in enumerate(rights)]
         edges, angles = [-1.0], []
         for right, angle in pieces:
-            if not right - edges[-1] < BREAKPOINT_MERGE_TOL:
+            if right > edges[-1]:
                 edges.append(right)
                 angles.append(angle)
-        edges[-1] = 1.0
 
         def outcome(build):
             try:
@@ -341,55 +344,60 @@ class TestRefine:
             assert r2.value_at(x) == t2.value_at(x)
             checked += 1
 
-    def test_merges_near_coincident_breakpoints(self):
+    def test_keeps_near_coincident_breakpoints(self):
         t1 = StepLaminate((-1.0, 0.5, 1.0), (0.1, 0.2))
         t2 = StepLaminate((-1.0, 0.5 + 1e-13, 1.0), (0.3, 0.4))
         rp = refine(t1, t2)
-        assert rp.breakpoints == (-1.0, 0.5, 1.0)
+        assert rp.breakpoints == (-1.0, 0.5, 0.5 + 1e-13, 1.0)
+        assert rp.angles1 == (0.1, 0.2, 0.2)
+        assert rp.angles2 == (0.3, 0.3, 0.4)
 
-    def test_midpoint_on_merged_away_breakpoint(self):
-        # 7.5e-13 merges into 0; the midpoint of (0, 1.5e-12) lands on it
-        # and takes t2's angle to its right
-        t1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
-        t2 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
+    def test_one_float_step_interval(self):
+        # (0.3, nextafter(0.3)) has no float inside it; each input's angle
+        # is looked up at the left edge
+        x = math.nextafter(0.3, 1.0)
+        t1 = StepLaminate((-1.0, 0.3, 1.0), (0.1, 0.2))
+        t2 = StepLaminate((-1.0, x, 1.0), (0.3, 0.4))
         rp = refine(t1, t2)
-        assert rp.breakpoints == (-1.0, 0.0, 1.5e-12, 1.0)
-        assert rp.angles1 == (0.0, 1.0, 1.0)
-        assert rp.angles2 == (0.0, 1.0, 0.5)
+        assert rp.breakpoints == (-1.0, 0.3, x, 1.0)
+        assert rp.angles1 == (0.1, 0.2, 0.2)
+        assert rp.angles2 == (0.3, 0.3, 0.4)
 
-    @given(close_laminates(), close_laminates())
+    @given(st.one_of(close_laminates(), float_laminates()),
+           st.one_of(close_laminates(), float_laminates()))
     def test_matches_loop_reference(self, t1, t2):
         union = sorted(t1.breakpoints + t2.breakpoints)
         bps = [union[0]]
         for v in union[1:]:
-            if v - bps[-1] >= BREAKPOINT_MERGE_TOL:
+            if v > bps[-1]:
                 bps.append(v)
-        bps[-1] = union[-1]
-        mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
-        try:
-            want1 = tuple(t1.value_at(m) for m in mids)
-            want2 = tuple(t2.value_at(m) for m in mids)
-        except UndefinedAtBreakpoint:
-            return
         rp = refine(t1, t2)
-        assert (rp.breakpoints, rp.angles1, rp.angles2) == (tuple(bps), want1, want2)
+        assert rp.breakpoints == tuple(bps)
+        for lo, hi, ang1, ang2 in zip(bps, bps[1:], rp.angles1, rp.angles2):
+            mid = 0.5 * (lo + hi)
+            if lo < mid < hi:  # an interval one float step wide has no inside
+                assert (ang1, ang2) == (t1.value_at(mid), t2.value_at(mid))
 
 
 class TestMergeClose:
-    def test_measures_from_last_kept_value(self):
-        assert merge_close([0.0, 0.6e-12, 1.2e-12, 1.0]) == [0.0, 1.2e-12, 1.0]
-
-    def test_snaps_last_to_maximum(self):
-        assert merge_close([-1.0, 0.0, 1.0 - 5e-13, 1.0]) == [-1.0, 0.0, 1.0]
+    def test_keeps_distinct_values(self):
+        close = math.nextafter(1.2e-12, 1.0)
+        assert merge_close([0.0, 0.6e-12, 0.6e-12, 1.2e-12, close, 1.0, 1.0]) == \
+            [0.0, 0.6e-12, 1.2e-12, close, 1.0]
 
     def test_long_run_of_close_values(self):
         values = [k * 0.3e-12 for k in range(20)]
-        want = [values[0]]
-        for v in values[1:]:
-            if v - want[-1] >= BREAKPOINT_MERGE_TOL:
-                want.append(v)
-        want[-1] = values[-1]
-        assert merge_close(values) == want
+        assert merge_close(values) == values
+
+    def test_keeps_first_object_of_a_run(self):
+        first, second = 0.25, float("0.25")
+        assert first is not second
+        out = merge_close([0.0, first, second, 1.0])
+        assert out[1] is first
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_matches_set_of_values(self, values):
+        assert merge_close(sorted(values)) == sorted(set(values))
 
 
 class TestNormalize:
