@@ -132,7 +132,7 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _parse_count(text: str) -> int:
+def _parse_positive_int(text: str) -> int:
     """An integer >= 1."""
     try:
         value = int(text)
@@ -145,7 +145,7 @@ def _parse_count(text: str) -> int:
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers, each >= 1."""
-    values = tuple(_parse_count(part) for part in text.split(",") if part.strip())
+    values = tuple(_parse_positive_int(part) for part in text.split(",") if part.strip())
     if not values:
         raise argparse.ArgumentTypeError("empty n list")
     return values
@@ -310,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_x, required=True,
                    help="evaluation point, 'p/q' or a float (write --x=-1/2)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--count", type=_parse_count, default=5,
+    p.add_argument("--count", type=_parse_positive_int, default=5,
                    help="indices per region (default 5)")
-    p.add_argument("--cap", type=_parse_count, default=DEFAULT_SEARCH_CAP,
+    p.add_argument("--cap", type=_parse_positive_int, default=DEFAULT_SEARCH_CAP,
                    help="largest index accepted (default 10^7)")
     add_common(p, verdict=False, files=False)
     p.set_defaults(func=cmd_oscillate)
