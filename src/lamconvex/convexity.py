@@ -1,24 +1,29 @@
 """Constructive convex combination of two layups' lamination parameters.
 
-The core primitive: given an interval (lo, hi) and a fraction in (0, 1),
-find a two-interval subset E = (a, b) u (c, d) whose moments of order
-0, 1 and 2 all equal exactly that fraction of the whole interval's
-moments. Requiring the two subintervals to share one width e leaves two
-centers x < y to determine; matching the three moments gives
+The core primitive: given an interval (lo, hi) and a fraction f in
+(0, 1), find a two-interval subset E whose moments of order 0, 1 and 2
+all equal exactly f times the whole interval's moments. One interval
+has two unknowns for three equations, so two are the fewest. Anchoring
+the first at lo leaves three unknowns; on [0, 1], E = (0, b) u (c, c + w)
+with
 
-    e      = fraction * (hi - lo) / 2
-    y - x  = ((hi - lo) / 2) * sqrt((4 - fraction^2) / 3)
-    x + y  = lo + hi
+    c = (2 - f) / 3
+    w = (8f - 4 + sqrt(8 (2 - f)(1 + f))) / 12
+      = 6f (1 - f) / (sqrt(8 (2 - f)(1 + f)) + 4 - 8f)
+    b = f - w
 
-and the centered-gap expression is finite and stable for every fraction
-in (0, 1). Strict interior ordering lo < a < b < c < d < hi holds in
-exact arithmetic because fraction^2 - 3*fraction + 2 > 0 on (0, 1).
+(the second form of w for f < 1/2, where the first cancels), and
+(lo, hi) is split at lo + b L, lo + c L and lo + (c + w) L with
+L = hi - lo. The strict order 0 < b < c < c + w < 1 holds in exact
+arithmetic for every f in (0, 1).
 
 Applying the split interval-by-interval on a common refinement builds,
 for any mixing weight, a single step laminate whose twelve parameters are
-exactly the convex combination of the two inputs' parameters. The same
-construction matches integral f(theta(z)) z^j dz for arbitrary f, not
-just the trig family.
+exactly the convex combination of the two inputs' parameters: E takes
+the input with the smaller weight, so f <= 1/2, and each interval whose
+angles differ becomes 4 pieces, [E, rest, E, rest]. The same construction
+matches integral f(theta(z)) z^j dz for arbitrary f, not just the trig
+family.
 """
 
 import math
@@ -30,18 +35,19 @@ from .step import StepLaminate, refine
 
 
 def matched_split(lo, hi, fraction: float):
-    """(a, b, c, d) of the split of (lo, hi) whose matched set
-    E = (a, b) u (c, d) carries `fraction` of all three moments; the
-    complement (lo, a) u (b, c) u (d, hi) carries the rest.
+    """(b, c, d) of the split of (lo, hi) whose matched set
+    E = (lo, b) u (c, d) carries `fraction` of all three moments; the
+    complement (b, c) u (d, hi) carries the rest.
 
     lo and hi are floats, or float64 arrays of one shape split
     elementwise; fraction is one float. Both take the same IEEE
     operations, so an array gives bit for bit the floats of one call per
-    interval. b and d are built as a + width and c + width from the one
-    shared width fraction * (hi - lo) / 2. The strict order
-    lo < a < b < c < d < hi holds in exact arithmetic; in floating point
-    the points of a tiny interval, or at a fraction within a few units of
-    round-off of 0 or 1, may coincide with each other or an end.
+    interval: the three coefficients of the module docstring are formed
+    once from the fraction, and each point is lo + coefficient * (hi - lo).
+    The strict order lo < b < c < d < hi holds in exact arithmetic; in
+    floating point the points of a tiny interval, or at a fraction within
+    a few units of round-off of 0 or 1, may coincide with each other or
+    an end.
 
     Raises:
         DegenerateInterval: if some lo >= hi or an endpoint is not finite.
@@ -56,13 +62,15 @@ def matched_split(lo, hi, fraction: float):
         raise DegenerateInterval(f"cannot split interval ({los[i]}, {his[i]})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
-    half = 0.5 * (hi - lo)
-    width = fraction * half
-    gap = half * math.sqrt((4.0 - fraction * fraction) / 3.0)
-    mid = 0.5 * (lo + hi)
-    a = (mid - 0.5 * gap) - 0.5 * width
-    c = (mid + 0.5 * gap) - 0.5 * width
-    return a, a + width, c, c + width
+    f = fraction
+    root = math.sqrt(8.0 * (2.0 - f) * (1.0 + f))
+    if f < 0.5:
+        w = 6.0 * f * (1.0 - f) / (root + 4.0 - 8.0 * f)
+    else:
+        w = (8.0 * f - 4.0 + root) / 12.0
+    c = (2.0 - f) / 3.0
+    length = hi - lo
+    return lo + (f - w) * length, lo + c * length, lo + (c + w) * length
 
 
 def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLaminate:
@@ -71,12 +79,13 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
 
     On each interval of the common refinement where the two angles are
     equal a single piece with t1's angle is emitted. Otherwise the
-    interval is split with the matched fraction (1 - alpha) carrying t1's
-    angle and the complement carrying t2's, giving 5 pieces: one
+    interval is split into 4 pieces, [E, rest, E, rest], with the matched
+    set E on the small side: fraction alpha carrying t2's angle when
+    alpha < 1/2, else fraction 1 - alpha (exact) carrying t1's. One
     `matched_split` call splits every such interval at once.
-    `from_pieces` then drops only the pieces whose split points coincided
-    or crossed in floating point. The output partition is not simplified,
-    and its angles are the input angle objects themselves.
+    `from_pieces` then drops the pieces whose split points coincided or
+    crossed in floating point, and merges neighbours of equal angle. The
+    angles are the input angle objects themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
@@ -95,18 +104,19 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     ang1 = np.array(rp.angles1, dtype=object)
     ang2 = np.array(rp.angles2, dtype=object)
     differ = ang1 != ang2
-    # one block of 5 pieces per refinement interval; an interval whose
+    fraction, matched, rest = (alpha, ang2, ang1) if alpha < 0.5 else (1.0 - alpha, ang1, ang2)
+    # one block of 4 pieces per refinement interval; an interval whose
     # angles agree keeps only the last piece, the whole interval with t1's angle
-    rights = np.empty((n, 5))
-    rights[differ, :4] = np.column_stack(
-        matched_split(edges[:-1][differ], edges[1:][differ], 1.0 - alpha))
-    rights[:, 4] = edges[1:]
-    angles = np.empty((n, 5), dtype=object)
-    angles[:, 0::2] = ang2[:, None]
-    angles[:, 1::2] = ang1[:, None]
-    angles[~differ, 4] = ang1[~differ]
-    keep = np.ones((n, 5), dtype=bool)
-    keep[~differ, :4] = False
+    rights = np.empty((n, 4))
+    rights[differ, :3] = np.column_stack(
+        matched_split(edges[:-1][differ], edges[1:][differ], fraction))
+    rights[:, 3] = edges[1:]
+    angles = np.empty((n, 4), dtype=object)
+    angles[:, 0::2] = matched[:, None]
+    angles[:, 1::2] = rest[:, None]
+    angles[~differ, 3] = ang1[~differ]
+    keep = np.ones((n, 4), dtype=bool)
+    keep[~differ, :3] = False
     return StepLaminate.from_pieces(rights[keep], angles[keep])
 
 

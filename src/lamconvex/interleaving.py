@@ -44,7 +44,7 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
-from .step import StepLaminate, _angle_index, merge_close
+from .step import StepLaminate, _angle_index
 
 Number = Union[Fraction, int, float]
 
@@ -74,23 +74,37 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     Cell i spans (-1 + 2i/n, -1 + 2(i+1)/n); its first fraction alpha
     takes t1's values and the remainder takes t2's. Breakpoints of t1 and
     t2 are folded in so the result is a valid step laminate; edges merge
-    only when equal. Each piece takes its source and angle at its midpoint.
+    only when equal. Each raw edge is tagged as the start of a t1 part,
+    the start of a t2 part, or neither, and the tags go through the sort:
+    a piece's source is the last part starting at or before its left
+    edge, and its angle is that source's angle at the left edge. A part
+    whose start is not below the next part's start (empty in floating
+    point, or crossed by round-off) starts nothing.
     """
     import numpy as np
     _check_alpha(alpha)
     _check_n(n)
     left = -1.0 + (2.0 * np.arange(n, dtype=np.float64)) / n
-    raw = np.concatenate((left, left + 2.0 * alpha / n, [1.0],
-                          t1.breakpoints[1:-1], t2.breakpoints[1:-1]))
-    raw.sort(kind="stable")
-    bps = merge_close(raw.tolist())
-    edges = np.array(bps)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    v = n * (mids + 1.0) / 2.0
-    first = v - np.floor(v) < alpha
-    index = np.where(first, _angle_index(t1, mids), _angle_index(t2, mids) + t1.ply_count)
+    starts = np.empty(2 * n + 1)  # part k starts at starts[k]; even k is t1's, odd k t2's
+    starts[0:-1:2] = left
+    starts[1:-1:2] = left + 2.0 * alpha / n
+    starts[-1] = 1.0
+    raw = np.concatenate((starts, t1.breakpoints[1:-1], t2.breakpoints[1:-1]))
+    tags = np.full(raw.size, -1)  # 0 starts a t1 part, 1 a t2 part, -1 neither
+    live = np.flatnonzero(starts[:-1] < starts[1:])  # an empty or crossed part starts nothing
+    tags[live] = live % 2
+    order = np.argsort(raw, kind="stable")
+    raw, tags = raw[order], tags[order]
+    # forward fill: the position of the last part start at or before each edge
+    filled = np.maximum.accumulate(np.where(tags >= 0, np.arange(raw.size), 0))
+    distinct = raw[1:] != raw[:-1]
+    first = np.flatnonzero(np.append(True, distinct))  # each edge value once
+    last = np.flatnonzero(distinct)  # the last raw edge at each piece's left edge
+    lefts = raw[first[:-1]]
+    index = np.where(tags[filled[last]] == 0, _angle_index(t1, lefts),
+                     _angle_index(t2, lefts) + t1.ply_count)
     angles = np.array(t1.angles + t2.angles, dtype=object)[index]
-    return StepLaminate(tuple(bps), tuple(angles))
+    return StepLaminate(tuple(raw[first].tolist()), tuple(angles))
 
 
 def interleave_value(t1: StepLaminate, t2: StepLaminate, alpha: float,

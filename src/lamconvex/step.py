@@ -19,8 +19,11 @@ from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoin
 
 
 def moments(lo: float, hi: float) -> tuple[float, float, float]:
-    """Exact interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3), the
-    values of integral(z^j dz) over (lo, hi) for j = 0, 1, 2.
+    """Interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3), the values
+    of integral(z^j dz) over (lo, hi) for j = 0, 1, 2, in the float
+    operations of `_exact_moments`: differences of rounded powers, so the
+    order-j moment can be off by a few u * max(|lo|, |hi|)^(j+1)
+    (u = 2^-53), however thin the interval.
 
     Raises:
         DegenerateInterval: if lo >= hi or either endpoint is not finite.
@@ -35,7 +38,11 @@ def moments(lo: float, hi: float) -> tuple[float, float, float]:
 
 def _exact_moments(edges: np.ndarray) -> np.ndarray:
     """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
-    of the B intervals between consecutive edges, as differences of powers."""
+    of the B intervals between consecutive edges, as differences of float
+    powers. The powers are rounded before they are subtracted, so the
+    order-j moment of an interval can be off by a few
+    u * max(|lo|, |hi|)^(j+1) (u = 2^-53), however thin the interval, not
+    by a few u times the moment itself."""
     import numpy as np
     powers = np.empty((3, edges.size))
     powers[0] = edges
@@ -116,8 +123,10 @@ class StepLaminate:
 
         A piece whose right edge is not above every earlier edge (and -1) is
         dropped: it is empty, or its split points crossed in floating point.
-        No other piece is dropped, however thin. The angles kept are the
-        objects of `angles` themselves.
+        No other piece is dropped, however thin. Then each run of adjacent
+        pieces whose angles compare equal (`==`) becomes one piece, with
+        the run's first angle and last right edge; no measure moves. The
+        angles kept are the objects of `angles` themselves.
         """
         import numpy as np
         rights = np.asarray(rights, dtype=np.float64)
@@ -130,7 +139,11 @@ class StepLaminate:
             raise InvariantViolation(f"{angles.size} angles for {rights.size} pieces",
                                      field="angles")
         keep = _kept(rights, -1.0)
-        return cls((-1.0, *rights[keep].tolist()), tuple(angles[keep]))
+        rights, angles = rights[keep], angles[keep]
+        first = np.ones(angles.size, dtype=bool)  # piece starts a run of equal angles
+        first[1:] = angles[1:] != angles[:-1]
+        last = np.append(first[1:], True)
+        return cls((-1.0, *rights[last].tolist()), tuple(angles[first]))
 
 
 @dataclass(frozen=True)

@@ -101,15 +101,23 @@ def combine_reference(t1, t2, alpha):
     """convex_combine as one scalar loop over the refinement intervals.
 
     Each interval whose angles differ gets its own matched split, by the
-    package's formula written out with no ordering check, and emits five
-    (right, angle) pieces with t1 on the matched set. A piece is kept when
-    its right edge lies above the last kept edge.
+    package's formula written out with no ordering check, and emits four
+    (right, angle) pieces, [E, rest, E, rest], with the input of the
+    smaller weight on the matched set E. A piece is kept when its right
+    edge lies above the last kept edge; a kept piece whose angle equals
+    (`==`) the last kept angle extends that piece instead.
     """
     if alpha == 0.0 or 1.0 - alpha == 1.0:
         return t1
     if alpha == 1.0:
         return t2
-    f = 1.0 - alpha
+    f = alpha if alpha < 0.5 else 1.0 - alpha
+    root = math.sqrt(8.0 * (2.0 - f) * (1.0 + f))
+    if f < 0.5:
+        w = 6.0 * f * (1.0 - f) / (root + 4.0 - 8.0 * f)
+    else:
+        w = (8.0 * f - 4.0 + root) / 12.0
+    c = (2.0 - f) / 3.0
     rp = refine(t1, t2)
     pieces = []
     for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
@@ -117,18 +125,18 @@ def combine_reference(t1, t2, alpha):
         if ang1 == ang2:
             pieces.append((hi, ang1))
             continue
-        half = 0.5 * (hi - lo)
-        width = f * half
-        gap = half * math.sqrt((4.0 - f * f) / 3.0)
-        mid = 0.5 * (lo + hi)
-        a = (mid - 0.5 * gap) - 0.5 * width
-        c = (mid + 0.5 * gap) - 0.5 * width
-        pieces += [(a, ang2), (a + width, ang1), (c, ang2), (c + width, ang1), (hi, ang2)]
+        e, rest = (ang2, ang1) if alpha < 0.5 else (ang1, ang2)
+        length = hi - lo
+        pieces += [(lo + (f - w) * length, e), (lo + c * length, rest),
+                   (lo + (c + w) * length, e), (hi, rest)]
     edges, angles = [-1.0], []
     for right, angle in pieces:
         if right > edges[-1]:
-            edges.append(right)
-            angles.append(angle)
+            if angles and angle == angles[-1]:
+                edges[-1] = right
+            else:
+                edges.append(right)
+                angles.append(angle)
     return StepLaminate(tuple(edges), tuple(angles))
 
 

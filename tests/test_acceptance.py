@@ -33,7 +33,6 @@ from _helpers import max_param_diff, ply_laminate, random_laminate
 
 BOUND_SLACK = 1e-12
 U = 2.0**-53  # unit round-off of IEEE double
-WIDTH_ULPS = 2.0**-51
 
 T0 = StepLaminate((-1.0, 1.0), (0.0,))
 T90 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
@@ -75,12 +74,10 @@ def test_split_moment_matching():
     for _ in range(1000):
         lo, hi = sorted((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
         alpha = rng.uniform(0.001, 0.999)
-        a, b, c, d = matched_split(lo, hi, alpha)
-        assert lo < a < b < c < d < hi
-        assert abs((b - a) - (d - c)) <= WIDTH_ULPS
-        assert abs((b - a) - alpha * (0.5 * (hi - lo))) <= WIDTH_ULPS
+        b, c, d = matched_split(lo, hi, alpha)
+        assert lo < b < c < d < hi
         whole = moments(lo, hi)
-        matched = tuple(map(add, moments(a, b), moments(c, d)))
+        matched = tuple(map(add, moments(lo, b), moments(c, d)))
         for got, want in zip(matched, whole):
             err = abs(got - alpha * want)
             assert err <= 1e-12 * max(1.0, abs(want))
@@ -94,19 +91,19 @@ def test_split_moment_matching():
 def test_split_feasibility():
     start = time.perf_counter()
     alphas = np.linspace(1e-9, 1.0 - 1e-9, 100_000)
-    quadratic = alphas * alphas - 3.0 * alphas + 2.0
-    assert (quadratic > 0.0).all()
-    lo, hi = -1.0, 1.0
+    # on (0, 1) the split points are the coefficients b < c < d themselves;
+    # the gaps b, c - b, d - c and 1 - d are each positive in exact
+    # arithmetic for every fraction in (0, 1)
+    smallest = math.inf
     for alpha in alphas.tolist():
-        a, b, c, d = matched_split(lo, hi, alpha)
-        # the pair of width b - a, centers c - a apart, fits inside (lo, hi)
-        # without overlap
-        assert c - a > b - a
-        assert (c - a) + (b - a) < hi - lo
+        b, c, d = matched_split(0.0, 1.0, alpha)
+        gap = min(b, c - b, d - c, 1.0 - d)
+        assert gap > 0.0
+        smallest = min(smallest, gap)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] split-feasibility: PASS "
-          f"(100000 weights, min quadratic {quadratic.min():.3e}, {elapsed:.2f}s)")
+          f"(100000 weights, smallest gap {smallest:.3e}, {elapsed:.2f}s)")
 
 
 def test_oracle_equivalence():

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import time
@@ -88,6 +89,28 @@ class TestInterleave:
         assert t.breakpoints == (-1.0, -0.5, 0.0, 7.5e-13, 1.5e-12, 0.5, 1.0)
         assert t.angles == (0.0, 0.0, 0.0, 1.0, 0.5, 1.0)
 
+    def test_piece_one_float_step_wide_takes_its_own_angle(self):
+        # the middle piece of t1 is one float step wide; its midpoint
+        # rounds onto its right edge, which once gave it the next angle
+        t1 = StepLaminate((-1.0, -0.3, math.nextafter(-0.3, 1.0), 1.0), (0.1, 0.2, 0.3))
+        t2 = StepLaminate((-1.0, 1.0), (0.9,))
+        t = interleave(t1, t2, 0.5, 1)
+        assert t.breakpoints == (-1.0, -0.3, math.nextafter(-0.3, 1.0), 0.0, 1.0)
+        assert t.angles == (0.1, 0.2, 0.3, 0.9)
+
+    def test_crossed_part_starts_nothing(self):
+        # at n = 5 and alpha = 1 - 2^-53 the third cell's t2 part starts
+        # above the fourth cell's start after rounding; the fourth cell's
+        # t1 part must still take t1, and the t2 parts hold no more than
+        # round-off
+        alpha = 1.0 - 2.0**-53
+        left = [-1.0 + (2.0 * i) / 5 for i in range(5)]
+        assert left[2] + 2.0 * alpha / 5 > left[3]
+        t = interleave(T0, T90, alpha, 5)
+        second = sum(hi - lo for lo, hi, angle in zip(t.breakpoints, t.breakpoints[1:], t.angles)
+                     if angle == math.pi / 2)
+        assert second <= 5 * 2.0**-52
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(laminates(), close_laminates(), float_laminates()),
            st.one_of(laminates(), close_laminates(), float_laminates()),
@@ -95,10 +118,7 @@ class TestInterleave:
                      st.sampled_from([1e-13, 0.5 - 1e-13, 0.5, 1.0 - 2.0**-53])),
            st.integers(min_value=1, max_value=64))
     def test_matches_loop_reference(self, t1, t2, alpha, n):
-        try:
-            want_bps, want_angles = loop_interleave(t1, t2, alpha, n)
-        except UndefinedAtBreakpoint:
-            return
+        want_bps, want_angles = loop_interleave(t1, t2, alpha, n)
         got = interleave(t1, t2, alpha, n)
         assert got.breakpoints == want_bps
         assert got.angles == want_angles
@@ -113,23 +133,28 @@ class TestInterleave:
 
 
 def loop_interleave(t1, t2, alpha, n):
-    """The per-piece loop that `interleave` replaced, as its reference:
-    (breakpoints, angles). Raises UndefinedAtBreakpoint where a piece's
-    midpoint lands on a source breakpoint."""
-    raw = []
+    """The per-piece loop reference of `interleave`: (breakpoints, angles).
+
+    Part k of the interleaving starts at starts[k], t1's for even k and
+    t2's for odd k; a part whose start is not below the next part's start
+    starts nothing. Each piece takes the source of the last part started
+    at or before its left edge, and that source's angle at the left edge.
+    """
+    starts = []
     for i in range(n):
         left = -1.0 + (2.0 * i) / n
-        raw += [left, left + 2.0 * alpha / n]
-    raw = sorted(raw + [1.0] + list(t1.breakpoints[1:-1]) + list(t2.breakpoints[1:-1]))
+        starts += [left, left + 2.0 * alpha / n]
+    parts = [(s, (t1, t2)[k % 2])
+             for k, (s, e) in enumerate(zip(starts, starts[1:] + [1.0])) if s < e]
+    raw = sorted(starts + [1.0] + list(t1.breakpoints[1:-1]) + list(t2.breakpoints[1:-1]))
     edges = [raw[0]]
     for v in raw[1:]:
         if v > edges[-1]:
             edges.append(v)
     angles = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        v = n * (mid + 1.0) / 2.0
-        angles.append((t1 if v - math.floor(v) < alpha else t2).value_at(mid))
+    for lo in edges[:-1]:
+        source = [t for s, t in parts if s <= lo][-1]
+        angles.append(source.angles[bisect.bisect_right(source.breakpoints, lo) - 1])
     return tuple(edges), tuple(angles)
 
 

@@ -287,6 +287,21 @@ class TestStepLaminate:
             StepLaminate.from_pieces(np.array([0.0, 1.0]), [0.3])
         assert info.value.field == "angles"
 
+    def test_from_pieces_merges_equal_neighbours_after_dropping(self):
+        # the collapsed second piece stands between two pieces of angle 0.2;
+        # once it is dropped they merge, and the run keeps its first angle
+        # object. 0.0 and -0.0 compare equal and merge too; a 0.0 after a
+        # different angle starts a new piece.
+        first, second = float("0.2"), float("0.2")
+        assert first is not second
+        rights = [-0.5, -0.5, 0.0, 0.5, 0.75, 0.9, 1.0]
+        angles = [first, 0.7, second, 0.0, -0.0, 0.3, 0.0]
+        t = StepLaminate.from_pieces(np.array(rights), np.array(angles, dtype=object))
+        assert t.breakpoints == (-1.0, 0.0, 0.75, 0.9, 1.0)
+        assert t.angles == (0.2, 0.0, 0.3, 0.0)
+        assert t.angles[0] is first
+        assert math.copysign(1.0, t.angles[1]) == 1.0
+
     def test_from_pieces_keeps_angle_objects(self):
         angle = math.pi / 7
         t = StepLaminate.from_pieces(np.array([0.0, 1.0]), np.array([angle, 0.5], dtype=object))
