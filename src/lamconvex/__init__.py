@@ -1,9 +1,10 @@
 """Lamination parameters of step-function layups.
 
-Exact parameter computation, a constructive builder realizing any convex
-combination of two layups' parameters as a real step laminate, and the
-interleaving-sequence machinery showing why parameter convergence does
-not give pointwise convergence.
+Parameters from closed-form interval moments summed in floats (no
+quadrature error, round-off only), a constructive builder realizing any
+convex combination of two layups' parameters as a real step laminate,
+and the interleaving-sequence machinery showing why parameter
+convergence does not give pointwise convergence.
 """
 
 from .convexity import (
@@ -37,21 +38,16 @@ from .interleaving import (
     convergence_table,
     find_n_in_region,
     interleave,
-    interleave_value,
     oscillation_witness,
 )
 from .parameters import (
     LamParams,
     blend,
     lamination_parameters,
-    quadrature_parameters,
-    trig_values,
-    weighted_moments,
 )
 from .step import (
     RefinedPair,
     StepLaminate,
-    moments,
     normalize_breakpoints,
     refine,
 )
@@ -81,19 +77,14 @@ __all__ = [
     "convex_combine",
     "find_n_in_region",
     "interleave",
-    "interleave_value",
     "laminate_from_dict",
     "laminate_to_dict",
     "lamination_parameters",
     "load_laminate",
     "matched_split",
-    "moments",
     "normalize_breakpoints",
     "oscillation_witness",
-    "quadrature_parameters",
     "refine",
     "save_laminate",
-    "trig_values",
     "verify_combination",
-    "weighted_moments",
 ]

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .convexity import convex_combine, verify_combination
+from .convexity import DEFAULT_TOLERANCE, convex_combine, verify_combination
 from .errors import InvariantViolation, LamConvexError, ParseError
 from .fileio import load_laminate, save_laminate
 from .interleaving import (
@@ -31,8 +31,6 @@ from .interleaving import (
 )
 from .parameters import lamination_parameters
 from .step import StepLaminate
-
-DEFAULT_TOLERANCE = 1e-12
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAILURE = 1
@@ -266,7 +264,8 @@ def cmd_oscillate(args) -> Report:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamconvex",
-        description="Lamination parameters of step layups: exact values, "
+        description="Lamination parameters of step layups from closed-form "
+                    "moments (float round-off, no quadrature error), "
                     "constructive convex combinations, interleaving diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if verdict:
             p.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOLERANCE,
-                           help="verdict tolerance (default 1e-12)")
+                           help="verdict tolerance (default %(default)g)")
         if files:
             p.add_argument("--normalize", action="store_true",
                            help="affinely map file breakpoints onto [-1, 1]")

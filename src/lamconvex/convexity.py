@@ -33,6 +33,9 @@ from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
 from .step import StepLaminate, refine
 
+# Verdict tolerance of verify_combination and of the CLI's --tolerance.
+DEFAULT_TOLERANCE = 1e-12
+
 
 def matched_split(lo, hi, fraction: float):
     """(b, c, d) of the split of (lo, hi) whose matched set
@@ -135,7 +138,7 @@ class CombinationReport:
 
 def verify_combination(t1: StepLaminate, t2: StepLaminate, alpha: float,
                        result: StepLaminate,
-                       tolerance: float = 1e-12) -> CombinationReport:
+                       tolerance: float = DEFAULT_TOLERANCE) -> CombinationReport:
     """Residuals of params(result) against
     (1 - alpha) * params(t1) + alpha * params(t2), with a verdict at the
     given tolerance."""

@@ -107,27 +107,6 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     return StepLaminate(tuple(raw[first].tolist()), tuple(angles))
 
 
-def interleave_value(t1: StepLaminate, t2: StepLaminate, alpha: float,
-                     n: int, x: Number) -> float:
-    """Value of the n-th interleaved laminate at x without building it.
-
-    x is classified exactly, float or not: the partition point test is an
-    equality of rationals.
-
-    Raises:
-        UndefinedAtBreakpoint: if x falls on a partition point of the
-            interleaving, or on a breakpoint of the source laminate.
-        ValueError: if x is outside (-1, 1) or n < 1.
-    """
-    _check_alpha(alpha)
-    _check_n(n)
-    frac = n * _exact_y(x) % 1
-    if frac == 0 or frac == alpha:
-        raise UndefinedAtBreakpoint(f"interleaving undefined at x = {x} for n = {n}")
-    source = t1 if frac < alpha else t2
-    return source.value_at(float(x))
-
-
 def bezout_solve(p: int, q: int) -> tuple[int, int]:
     """Smallest n >= 1 with n*p - q*i = 1 for some integer i >= 0.
 

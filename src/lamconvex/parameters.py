@@ -9,19 +9,22 @@ lies in [-1, 1]:
     xi_b[k] =       integral f_k(theta(z)) z dz
     xi_d[k] = 3/2 * integral f_k(theta(z)) z^2 dz
 
-For a step function the integrals reduce to finite sums of closed-form
-interval moments, so `lamination_parameters` is exact up to float
-round-off. `quadrature_parameters` recomputes the same quantities by
-composite midpoint sampling and serves as an independent cross-check.
+For a step function each integral is a finite sum over the intervals:
+the interval's trig values times its closed-form moments
+(hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3). `lamination_parameters`
+computes that sum in floats, with no quadrature error. It is not exact:
+each moment is a difference of rounded powers and can be off by a few
+u * max(|lo|, |hi|)^(j+1) (u = 2^-53) for order j, however thin the
+interval, so the parameters carry that much round-off per interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .step import StepLaminate, _exact_moments
+from .step import StepLaminate
 
 # Scale factors for the z^0, z^1, z^2 weighted families.
 _PREFACTORS = (0.5, 1.0, 1.5)
@@ -48,37 +51,49 @@ class LamParams:
         }
 
 
-def trig_values(angle: float) -> tuple[float, float, float, float]:
-    """(cos 2a, cos 4a, sin 2a, sin 4a) for a = angle: the floats the parameters use."""
-    return tuple(_trig_rows((angle,))[:, 0].tolist())
-
-
-# Intervals per block of the moment kernel. It bounds the kernel's
-# temporaries to about 1 MB, whatever the ply count.
+# Intervals per block of the kernel. It bounds the kernel's temporaries
+# to about 1 MB, whatever the ply count.
 _BLOCK = 1 << 13
 
-def _moment_sums(t: StepLaminate, rows: Callable[[Sequence[float]], np.ndarray],
-                 interval_moments: Callable[[np.ndarray], np.ndarray] = _exact_moments,
-                 block: int = _BLOCK) -> list[list[float]]:
-    """k x 3 moment sums over the intervals of t.
 
-    `rows` maps a run of B angles to their k x B values. Entry [r][j] is
-    the sum over intervals i of value r of angle i times the order-j
-    moment of interval i. The laminate is taken `block` intervals at a
-    time, so no temporary grows with the ply count. Each block is summed
-    pairwise (np.sum, error growing like log2(block) * u), and math.fsum
-    adds the block sums with a single rounding.
+def lamination_parameters(t: StepLaminate) -> LamParams:
+    """Lamination parameters of a step laminate from closed-form moments.
+
+    No quadrature is involved: per interval the four trig values multiply
+    the interval's float moments (`_interval_moments`, whose round-off,
+    not the summation's, dominates the error), and the products are
+    summed. The laminate is taken `_BLOCK` intervals at a time, so no
+    temporary grows with the ply count. Each block is summed pairwise
+    (np.sum, error growing like log2(_BLOCK) * u), and math.fsum adds the
+    block sums with a single rounding.
     """
     import numpy as np
     parts = []
-    for start in range(0, t.ply_count, block):
-        edges = np.array(t.breakpoints[start:start + block + 1])
-        values = rows(t.angles[start:start + block])
-        parts.append((values[:, np.newaxis] * interval_moments(edges)).sum(axis=-1))
-    k = parts[0].shape[0]
-    columns = np.array(parts).reshape(len(parts), 3 * k).T.tolist()
-    totals = [math.fsum(c) for c in columns]
-    return [totals[3 * r:3 * r + 3] for r in range(k)]
+    for start in range(0, t.ply_count, _BLOCK):
+        edges = np.array(t.breakpoints[start:start + _BLOCK + 1])
+        values = _trig_rows(t.angles[start:start + _BLOCK])
+        parts.append((values[:, np.newaxis] * _interval_moments(edges)).sum(axis=-1))
+    # parts[block][k][j]: trig value k times the order-j moment; row 4j + k
+    # below collects it over the blocks
+    rows = np.array(parts).transpose(2, 1, 0).reshape(12, len(parts)).tolist()
+    sums = [math.fsum(row) for row in rows]
+    return LamParams(*(tuple(p * s for s in sums[4 * j:4 * j + 4])
+                       for j, p in enumerate(_PREFACTORS)))
+
+
+def _interval_moments(edges: np.ndarray) -> np.ndarray:
+    """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
+    of the B intervals between consecutive edges, as differences of float
+    powers. The powers are rounded before they are subtracted, so the
+    order-j moment of an interval can be off by a few
+    u * max(|lo|, |hi|)^(j+1) (u = 2^-53), however thin the interval, not
+    by a few u times the moment itself."""
+    import numpy as np
+    powers = np.empty((3, edges.size))
+    powers[0] = edges
+    np.multiply(edges, edges, out=powers[1])
+    np.multiply(powers[1], edges, out=powers[2])
+    return (powers[:, 1:] - powers[:, :-1]) / np.array([[1.0], [2.0], [3.0]])
 
 
 def _trig_rows(angles: Sequence[float]) -> np.ndarray:
@@ -90,67 +105,6 @@ def _trig_rows(angles: Sequence[float]) -> np.ndarray:
     np.cos(x, out=rows[:2])
     np.sin(x, out=rows[2:])
     return rows
-
-
-def weighted_moments(t: StepLaminate,
-                     f: Callable[[float], float]) -> tuple[float, float, float]:
-    """integral f(theta(z)) z^j dz for j = 0, 1, 2, for any f.
-
-    Exact for step functions: each interval contributes f(angle) times the
-    closed-form interval moment. This generic entry point runs the same
-    kernel as the trig parameters and lets tests drive it with arbitrary f.
-    """
-    import numpy as np
-
-    def rows(angles: Sequence[float]) -> np.ndarray:
-        return np.fromiter(map(f, angles), np.float64, len(angles))[np.newaxis]
-
-    return tuple(_moment_sums(t, rows)[0])
-
-
-def _from_sums(sums) -> LamParams:
-    return LamParams(
-        xi_a=tuple(_PREFACTORS[0] * sums[k][0] for k in range(4)),
-        xi_b=tuple(_PREFACTORS[1] * sums[k][1] for k in range(4)),
-        xi_d=tuple(_PREFACTORS[2] * sums[k][2] for k in range(4)),
-    )
-
-
-def lamination_parameters(t: StepLaminate) -> LamParams:
-    """Exact lamination parameters of a step laminate.
-
-    No quadrature is involved: per interval the four trig values multiply
-    the closed-form moments, and the contributions are summed.
-    """
-    return _from_sums(_moment_sums(t, _trig_rows))
-
-
-def quadrature_parameters(t: StepLaminate, samples_per_interval: int) -> LamParams:
-    """Composite midpoint-rule approximation of the parameters.
-
-    Each laminate interval is sampled independently (samples never
-    straddle a breakpoint), so the only error is the midpoint rule's
-    O(h^2) term on the z^2 weight plus float round-off. Converges to
-    `lamination_parameters` as the sample count grows.
-
-    Args:
-        samples_per_interval: midpoint samples per laminate interval, >= 1.
-    """
-    import numpy as np
-    if samples_per_interval < 1:
-        raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval}")
-    m = int(samples_per_interval)
-    offsets = np.arange(m, dtype=np.float64) + 0.5
-
-    def sampled_moments(edges: np.ndarray) -> np.ndarray:
-        h = (edges[1:] - edges[:-1]) / m
-        z = np.multiply.outer(h, offsets)
-        z += edges[:-1, np.newaxis]
-        s1 = z.sum(axis=1)
-        z *= z
-        return np.stack((h * m, h * s1, h * z.sum(axis=1)))
-
-    return _from_sums(_moment_sums(t, _trig_rows, sampled_moments, block=max(1, _BLOCK // m)))
 
 
 def blend(p: LamParams, q: LamParams, weight_on_first: float) -> LamParams:

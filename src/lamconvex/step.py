@@ -18,39 +18,6 @@ from typing import Iterable, Sequence
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
 
 
-def moments(lo: float, hi: float) -> tuple[float, float, float]:
-    """Interval moments (hi-lo, (hi^2-lo^2)/2, (hi^3-lo^3)/3), the values
-    of integral(z^j dz) over (lo, hi) for j = 0, 1, 2, in the float
-    operations of `_exact_moments`: differences of rounded powers, so the
-    order-j moment can be off by a few u * max(|lo|, |hi|)^(j+1)
-    (u = 2^-53), however thin the interval.
-
-    Raises:
-        DegenerateInterval: if lo >= hi or either endpoint is not finite.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DegenerateInterval(f"non-finite interval ({lo}, {hi})")
-    if lo >= hi:
-        raise DegenerateInterval(f"empty interval ({lo}, {hi})")
-    import numpy as np
-    return tuple(_exact_moments(np.array((lo, hi), dtype=np.float64))[:, 0].tolist())
-
-
-def _exact_moments(edges: np.ndarray) -> np.ndarray:
-    """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
-    of the B intervals between consecutive edges, as differences of float
-    powers. The powers are rounded before they are subtracted, so the
-    order-j moment of an interval can be off by a few
-    u * max(|lo|, |hi|)^(j+1) (u = 2^-53), however thin the interval, not
-    by a few u times the moment itself."""
-    import numpy as np
-    powers = np.empty((3, edges.size))
-    powers[0] = edges
-    np.multiply(edges, edges, out=powers[1])
-    np.multiply(powers[1], edges, out=powers[2])
-    return (powers[:, 1:] - powers[:, :-1]) / np.array([[1.0], [2.0], [3.0]])
-
-
 @dataclass(frozen=True)
 class StepLaminate:
     """Piecewise-constant layup-angle function on [-1, 1].

@@ -1,16 +1,24 @@
-"""Shared builders for randomized and property-based tests."""
+"""Shared builders and oracles for randomized and property-based tests.
+
+The oracles here share no code with the kernel they check: their moments
+are exact `Fraction`s or a midpoint rule, never the package's float
+moments. The exact references take the package's trig floats exactly
+(`trig_values`); the midpoint rule evaluates its own with `math`."""
 
 import bisect
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from lamconvex import (
+    AlphaOutOfRange,
+    LamParams,
     StepLaminate,
+    UndefinedAtBreakpoint,
     lamination_parameters,
     refine,
-    trig_values,
 )
 
 
@@ -34,16 +42,46 @@ def ply_laminate(rng, plies, angles_deg=(0.0, 45.0, -45.0, 90.0)):
     return StepLaminate((-1.0, *interior, 1.0), angles)
 
 
-def exact_parameters(t) -> list[Fraction]:
-    """The twelve parameters [A1..A4, B1..B4, D1..D4] of t as exact
-    rationals.
+def trig_values(angle) -> tuple[float, float, float, float]:
+    """(cos 2a, cos 4a, sin 2a, sin 4a), the floats the package's kernel
+    uses: the in-plane parameters of a one-ply laminate are its trig
+    values, bit for bit (moment 2.0 times prefactor 0.5), except that a
+    -0.0 comes out as 0.0."""
+    return lamination_parameters(StepLaminate((-1.0, 1.0), (angle,))).xi_a
 
-    Every breakpoint is a dyadic rational; scaled by one common power of
-    two they become integers, and per distinct angle the sums of
-    hi^j - lo^j (j = 1, 2, 3) are taken in integers. The trig values are
-    the floats the package computes (`trig_values`), taken exactly from
-    there, so a gap to this reference is summation and moment round-off.
-    """
+
+def exact_moments(lo, hi) -> tuple[Fraction, Fraction, Fraction]:
+    """(hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3) in exact arithmetic:
+    integral(z^j dz) over (lo, hi) for j = 0, 1, 2."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return tuple((hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j in range(3))
+
+
+def midpoint_moments(lo, hi, samples) -> tuple[float, float, float]:
+    """Composite midpoint rule with `samples` points for integral(z^j dz)
+    over (lo, hi), j = 0, 1, 2. The rule is exact for j <= 1; for j = 2 it
+    is low by (hi - lo) * h^2 / 12 with h = (hi - lo) / samples."""
+    h = (hi - lo) / samples
+    z = lo + h * (np.arange(samples) + 0.5)
+    return h * samples, h * float(z.sum()), h * float((z * z).sum())
+
+
+def quadrature_parameters(t, samples) -> LamParams:
+    """The twelve parameters of t by the composite midpoint rule, with
+    `samples` points per interval (samples never straddle a breakpoint),
+    and the trig values in `math`: an independent cross-check of
+    `lamination_parameters` that converges to it like samples^-2."""
+    sums = np.zeros((3, 4))
+    for lo, hi, a in zip(t.breakpoints, t.breakpoints[1:], t.angles):
+        trig = (math.cos(2.0 * a), math.cos(4.0 * a), math.sin(2.0 * a), math.sin(4.0 * a))
+        sums += np.multiply.outer(midpoint_moments(lo, hi, samples), trig)
+    return LamParams(*(tuple((p * row).tolist()) for p, row in zip((0.5, 1.0, 1.5), sums)))
+
+
+def _power_sums(t):
+    """(bits, sums): every breakpoint of t is a dyadic rational, and times
+    2^bits an integer; per distinct angle, sums holds the integer sums of
+    hi^j - lo^j (j = 1, 2, 3) over its intervals at that scale."""
     ratios = [b.as_integer_ratio() for b in t.breakpoints]
     bits = max(den.bit_length() - 1 for _, den in ratios)
     ints = [num << (bits - den.bit_length() + 1) for num, den in ratios]
@@ -53,6 +91,17 @@ def exact_parameters(t) -> list[Fraction]:
         s[0] += hi - lo
         s[1] += hi * hi - lo * lo
         s[2] += hi * hi * hi - lo * lo * lo
+    return bits, sums
+
+
+def exact_parameters(t) -> list[Fraction]:
+    """The twelve parameters [A1..A4, B1..B4, D1..D4] of t as exact
+    rationals, from the integer sums of `_power_sums`. The trig values
+    are the floats the package computes (`trig_values`), taken exactly
+    from there, so a gap to this reference is summation and moment
+    round-off.
+    """
+    bits, sums = _power_sums(t)
     out = [Fraction(0)] * 12
     for angle, s in sums.items():
         tv = [Fraction(v) for v in trig_values(angle)]
@@ -65,15 +114,50 @@ def exact_parameters(t) -> list[Fraction]:
     return out
 
 
+def exact_weighted_moments(t, f) -> tuple[Fraction, Fraction, Fraction]:
+    """integral f(theta(z)) z^j dz for j = 0, 1, 2 as exact rationals, for
+    any float function f, from the integer sums of `_power_sums`; each
+    value f(angle) is taken exactly."""
+    bits, sums = _power_sums(t)
+    return tuple(sum(Fraction(f(angle)) * Fraction(s[j], (j + 1) << (bits * (j + 1)))
+                     for angle, s in sums.items())
+                 for j in range(3))
+
+
+def interleave_value(t1, t2, alpha, n, x):
+    """Value of the n-th interleaved laminate at x without building it:
+    the pointwise oracle for `interleave` and `oscillation_witness`.
+
+    x is classified exactly, float or not: the partition point test is an
+    equality of rationals.
+
+    Raises:
+        UndefinedAtBreakpoint: if x falls on a partition point of the
+            interleaving, or on a breakpoint of the source laminate.
+        AlphaOutOfRange: unless 0 < alpha < 1.
+        ValueError: if x is outside (-1, 1) or n is not an integer >= 1.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not -1 < x < 1:
+        raise ValueError(f"x = {x} outside (-1, 1)")
+    frac = n * ((Fraction(x) + 1) / 2) % 1
+    if frac == 0 or frac == alpha:
+        raise UndefinedAtBreakpoint(f"interleaving undefined at x = {x} for n = {n}")
+    source = t1 if frac < alpha else t2
+    return source.value_at(float(x))
+
+
 def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:
     """The twelve parameters of the ideal n-th interleaving of t1 and t2
     as exact rationals, by brute force.
 
     Cell i of [-1, 1] gives its first fraction alpha to t1 and the rest
     to t2. Each part is cut at its source's breakpoints, and every piece
-    adds its exact moments (hi^(j+1) - lo^(j+1))/(j+1) in Fraction. The
-    trig values are the package's floats, taken exactly, as in
-    `exact_parameters`.
+    adds its `exact_moments`. The trig values are the package's floats,
+    taken exactly, as in `exact_parameters`.
     """
     h = Fraction(2, n)
     w = Fraction(alpha) * h
@@ -86,8 +170,8 @@ def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:
             for a, b in zip(cuts, cuts[1:]):
                 angle = t.angles[bisect.bisect_right(bps, a) - 1]
                 m = moments.setdefault(angle, [Fraction(0)] * 3)
-                for j in range(3):
-                    m[j] += (b ** (j + 1) - a ** (j + 1)) / (j + 1)
+                for j, value in enumerate(exact_moments(a, b)):
+                    m[j] += value
     out = [Fraction(0)] * 12
     for angle, m in moments.items():
         tv = [Fraction(v) for v in trig_values(angle)]

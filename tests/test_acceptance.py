@@ -17,19 +17,23 @@ from lamconvex import (
     convergence_table,
     convex_combine,
     interleave,
-    interleave_value,
     lamination_parameters,
     load_laminate,
     matched_split,
-    moments,
     oscillation_witness,
-    quadrature_parameters,
     save_laminate,
     verify_combination,
 )
 from lamconvex.cli import main as cli_main
 
-from _helpers import max_param_diff, ply_laminate, random_laminate
+from _helpers import (
+    exact_moments,
+    interleave_value,
+    max_param_diff,
+    ply_laminate,
+    quadrature_parameters,
+    random_laminate,
+)
 
 BOUND_SLACK = 1e-12
 U = 2.0**-53  # unit round-off of IEEE double
@@ -76,12 +80,13 @@ def test_split_moment_matching():
         alpha = rng.uniform(0.001, 0.999)
         b, c, d = matched_split(lo, hi, alpha)
         assert lo < b < c < d < hi
-        whole = moments(lo, hi)
-        matched = tuple(map(add, moments(lo, b), moments(c, d)))
+        # exact moments of the float split points: the error is the split's
+        whole = exact_moments(lo, hi)
+        matched = tuple(map(add, exact_moments(lo, b), exact_moments(c, d)))
         for got, want in zip(matched, whole):
-            err = abs(got - alpha * want)
-            assert err <= 1e-12 * max(1.0, abs(want))
-            worst = max(worst, err)
+            err = abs(got - Fraction(alpha) * want)
+            assert err <= 1e-12 * max(1, abs(want))
+            worst = max(worst, float(err))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] split-moment-matching: PASS "

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -163,6 +164,16 @@ class TestCombine:
         code, _, err = run_cli(capsys, "combine", f0, f90, "--alpha", "1.5")
         assert code == 3
         assert "alpha" in err
+
+
+def test_default_tolerance_is_the_library_default(capsys):
+    # one policy: the CLI's --tolerance default is verify_combination's
+    default = inspect.signature(verify_combination).parameters["tolerance"].default
+    args = cli.build_parser().parse_args(["combine", "a.json", "b.json", "--alpha", "0.5"])
+    assert args.tolerance is default
+    with pytest.raises(SystemExit):
+        main(["combine", "--help"])
+    assert f"(default {default:g})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("output", [(), ("--json",)])

@@ -22,10 +22,8 @@ from lamconvex import (
     convergence_table,
     find_n_in_region,
     interleave,
-    interleave_value,
     lamination_parameters,
     oscillation_witness,
-    trig_values,
 )
 from lamconvex import interleaving
 
@@ -34,9 +32,11 @@ from _helpers import (
     exact_interleaved_parameters,
     exact_parameters,
     float_laminates,
+    interleave_value,
     laminates,
     ply_laminate,
     random_laminate,
+    trig_values,
 )
 
 T0 = StepLaminate((-1.0, 1.0), (0.0,))

@@ -4,14 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from lamconvex import (
-    StepLaminate,
-    lamination_parameters,
-    quadrature_parameters,
-    weighted_moments,
-)
+from lamconvex import StepLaminate, lamination_parameters
 
-from _helpers import laminates, max_param_diff, random_laminate
+from _helpers import laminates, max_param_diff, quadrature_parameters, random_laminate
 
 
 def test_zero_angle_constant():
@@ -65,11 +60,6 @@ class TestQuadratureOracle:
                                   lamination_parameters(t))
             assert diff <= 1e-8
 
-    def test_rejects_bad_sample_count(self):
-        t = StepLaminate((-1.0, 1.0), (0.0,))
-        with pytest.raises(ValueError):
-            quadrature_parameters(t, 0)
-
 
 def test_bounds_on_random_laminates():
     rng = random.Random(77)
@@ -100,16 +90,3 @@ def test_mirror_flips_coupling_block(t):
         assert got == pytest.approx(-want, abs=1e-12)
     for got, want in zip(m.xi_d, p.xi_d):
         assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_weighted_moments_arbitrary_function():
-    a1, a2 = 0.4, -1.1
-    t = StepLaminate((-1.0, 0.25, 1.0), (a1, a2))
-    # integral f(theta) z^j dz by hand: f(a1)*m_j(-1, .25) + f(a2)*m_j(.25, 1)
-    for f in (lambda th: th, lambda th: th * th):
-        got = weighted_moments(t, f)
-        m1 = ((0.25 - -1.0), (0.25**2 - 1.0) / 2, (0.25**3 + 1.0) / 3)
-        m2 = ((1.0 - 0.25), (1.0 - 0.25**2) / 2, (1.0 - 0.25**3) / 3)
-        for j in range(3):
-            want = f(a1) * m1[j] + f(a2) * m2[j]
-            assert got[j] == pytest.approx(want, abs=1e-14)

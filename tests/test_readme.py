@@ -19,5 +19,5 @@ def test_library_example_runs():
     assert namespace["report"].max_residual <= 1e-12
     b, c, d = namespace["b"], namespace["c"], namespace["d"]
     assert -1.0 < b < c < d < 1.0
-    assert {type(namespace[m]) for m in ("m0", "m1", "m2")} == {float}
+    assert {type(v) for v in namespace["params"].flat()} == {float}
     assert namespace["table"].below

@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -11,13 +13,20 @@ from lamconvex import (
     InvariantViolation,
     StepLaminate,
     UndefinedAtBreakpoint,
-    moments,
+    lamination_parameters,
     normalize_breakpoints,
     refine,
 )
 from lamconvex.step import merge_close
 
-from _helpers import close_laminates, float_laminates, laminates, random_laminate
+from _helpers import (
+    close_laminates,
+    exact_moments,
+    float_laminates,
+    laminates,
+    midpoint_moments,
+    random_laminate,
+)
 
 
 def array_validation(breakpoints, angles):
@@ -87,37 +96,29 @@ def one_bad_entry(draw):
     return typed(bps), typed(angles)
 
 
-def midpoint_moment_oracle(lo, hi, j, samples=10**6):
-    """Independent check of the closed-form moments: composite midpoint rule."""
-    h = (hi - lo) / samples
-    z = lo + h * (np.arange(samples) + 0.5)
-    return float(h * (z**j).sum())
-
-
 class TestMoments:
+    """The closed-form moments: the exact oracle `exact_moments`, the
+    kernel's float evaluation of them, and the interval checks."""
+
     def test_symmetric_interval(self):
-        m = moments(-1.0, 1.0)
-        assert m[0] == 2.0
-        assert m[1] == 0.0
-        assert m[2] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert exact_moments(-1.0, 1.0) == (2, 0, Fraction(2, 3))
 
     def test_unit_interval(self):
-        m = moments(0.0, 1.0)
-        assert m == (1.0, 0.5, pytest.approx(1.0 / 3.0, abs=1e-15))
+        assert exact_moments(0.0, 1.0) == (1, Fraction(1, 2), Fraction(1, 3))
 
     def test_quarter_to_three_quarter(self):
-        # Antiderivative values, cross-checked against the midpoint oracle.
-        m = moments(0.25, 0.75)
-        assert m[0] == pytest.approx(0.5, abs=1e-15)
-        assert m[1] == pytest.approx(0.25, abs=1e-15)
-        assert m[2] == pytest.approx(0.13541666666666666, abs=1e-15)
-        for j, value in enumerate(m):
-            assert value == pytest.approx(midpoint_moment_oracle(0.25, 0.75, j), abs=1e-12)
+        # Antiderivative values, cross-checked against the midpoint rule.
+        m = exact_moments(0.25, 0.75)
+        assert m == (Fraction(1, 2), Fraction(1, 4), Fraction(13, 96))
+        for value, sampled in zip(m, midpoint_moments(0.25, 0.75, 10**6)):
+            assert sampled == pytest.approx(float(value), abs=1e-12)
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (0.5, -0.5), (0.0, math.inf), (math.nan, 1.0)])
     def test_rejects_degenerate(self, lo, hi):
+        # an empty or non-finite span; matched_split makes the same check
+        # (TestMatchedSplit::test_rejects_degenerate_interval)
         with pytest.raises(DegenerateInterval):
-            moments(lo, hi)
+            normalize_breakpoints((lo, hi))
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
@@ -126,21 +127,22 @@ class TestMoments:
     )
     def test_additivity(self, x, y, z):
         a, m, b = sorted((x, y, z))
-        assume(m - a > 1e-9 and b - m > 1e-9)
-        left = moments(a, m)
-        right = moments(m, b)
-        whole = moments(a, b)
-        for l, r, want in zip(left, right, whole):
-            assert l + r == pytest.approx(want, abs=1e-12)
+        left = exact_moments(a, m)
+        right = exact_moments(m, b)
+        assert tuple(map(add, left, right)) == exact_moments(a, b)
 
-    @given(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5))
+    @given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True))
     def test_matches_scalar_formula(self, x, y):
-        # moments reads the parameter kernel's column; it keeps the float
-        # operations of the scalar closed form, bit for bit
+        # the kernel keeps the float operations of the scalar closed form,
+        # bit for bit: on (lo, hi) at 45 degrees between two 0-degree
+        # plies, sin 2a is exactly 1 there and 0 elsewhere, so each
+        # sin 2a parameter is its prefactor times one moment of (lo, hi)
         assume(x != y)
         lo, hi = sorted((x, y))
         want = (hi - lo, (hi * hi - lo * lo) / 2.0, (hi * hi * hi - lo * lo * lo) / 3.0)
-        assert moments(lo, hi) == want
+        p = lamination_parameters(StepLaminate((-1.0, lo, hi, 1.0), (0.0, math.pi / 4, 0.0)))
+        assert (p.xi_a[2], p.xi_b[2], p.xi_d[2]) == (0.5 * want[0], want[1], 1.5 * want[2])
 
 
 class TestStepLaminate:
