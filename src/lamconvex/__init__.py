@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fileio import (
     laminate_from_dict,
-    laminate_to_dict,
     load_laminate,
     save_laminate,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "find_n_in_region",
     "interleave",
     "laminate_from_dict",
-    "laminate_to_dict",
     "lamination_parameters",
     "load_laminate",
     "matched_split",

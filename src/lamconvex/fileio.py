@@ -5,9 +5,11 @@ with `name` optional and no other fields allowed. Angles are stored in
 degrees (ply-table convention) and converted to radians on load; full
 float precision round-trips through the shortest-repr serialization.
 
-Files are written as `indent=2` JSON, block by block, byte-identical to
-`json.dump(laminate_to_dict(t, name), fh, indent=2)` plus a newline; the
-writer never holds more than one block of text.
+Files are written 8192 values at a time, so the writer never holds more
+than one block of text. The bytes are fixed: the keys in schema order,
+one per line at two spaces; list items one per line at four spaces; each
+float as `float.__repr__` writes it, the name as `json.dumps` does; a
+final newline. That is `json.dump(data, fh, indent=2)` plus a newline.
 """
 
 import json
@@ -60,18 +62,6 @@ def laminate_from_dict(data: Any, normalize: bool = False) -> StepLaminate:
     if normalize:
         breakpoints = list(normalize_breakpoints(breakpoints))
     return StepLaminate(tuple(breakpoints), tuple(map(math.radians, angles_deg)))
-
-
-def laminate_to_dict(t: StepLaminate, name: str | None = None) -> dict:
-    """The content of a laminate file; save_laminate writes exactly
-    json.dump of this dict at indent=2."""
-    data: dict[str, Any] = {
-        "breakpoints": list(t.breakpoints),
-        "angles_deg": [math.degrees(a) for a in t.angles],
-    }
-    if name is not None:
-        data["name"] = name
-    return data
 
 
 def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLaminate:

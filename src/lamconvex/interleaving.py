@@ -44,7 +44,7 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
-from .step import StepLaminate, _angle_index
+from .step import StepLaminate, _interval_index
 
 Number = Union[Fraction, int, float]
 
@@ -74,12 +74,13 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     Cell i spans (-1 + 2i/n, -1 + 2(i+1)/n); its first fraction alpha
     takes t1's values and the remainder takes t2's. Breakpoints of t1 and
     t2 are folded in so the result is a valid step laminate; edges merge
-    only when equal. Each raw edge is tagged as the start of a t1 part,
-    the start of a t2 part, or neither, and the tags go through the sort:
-    a piece's source is the last part starting at or before its left
-    edge, and its angle is that source's angle at the left edge. A part
-    whose start is not below the next part's start (empty in floating
-    point, or crossed by round-off) starts nothing.
+    only when equal, and of equal edges the first in (part starts, t1,
+    t2) order is kept. A part whose start is not below the next part's
+    start (empty in floating point, or crossed by round-off) holds no
+    piece. Each piece looks its left edge up among the starts of the
+    parts that hold one, which gives its part and so its source (the
+    part's parity), and then among that source's breakpoints, which gives
+    its angle; both lookups are `_interval_index`.
     """
     import numpy as np
     _check_alpha(alpha)
@@ -89,22 +90,16 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     starts[0:-1:2] = left
     starts[1:-1:2] = left + 2.0 * alpha / n
     starts[-1] = 1.0
-    raw = np.concatenate((starts, t1.breakpoints[1:-1], t2.breakpoints[1:-1]))
-    tags = np.full(raw.size, -1)  # 0 starts a t1 part, 1 a t2 part, -1 neither
-    live = np.flatnonzero(starts[:-1] < starts[1:])  # an empty or crossed part starts nothing
-    tags[live] = live % 2
-    order = np.argsort(raw, kind="stable")
-    raw, tags = raw[order], tags[order]
-    # forward fill: the position of the last part start at or before each edge
-    filled = np.maximum.accumulate(np.where(tags >= 0, np.arange(raw.size), 0))
-    distinct = raw[1:] != raw[:-1]
-    first = np.flatnonzero(np.append(True, distinct))  # each edge value once
-    last = np.flatnonzero(distinct)  # the last raw edge at each piece's left edge
-    lefts = raw[first[:-1]]
-    index = np.where(tags[filled[last]] == 0, _angle_index(t1, lefts),
-                     _angle_index(t2, lefts) + t1.ply_count)
+    live = np.flatnonzero(starts[:-1] < starts[1:])  # parts holding a piece, starts increasing
+    edges = np.sort(np.concatenate((starts, t1.breakpoints[1:-1], t2.breakpoints[1:-1])),
+                    kind="stable")
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    lefts = edges[:-1]
+    part = live[_interval_index(starts[live], lefts)]
+    index = np.where(part % 2 == 0, _interval_index(t1.breakpoints, lefts),
+                     _interval_index(t2.breakpoints, lefts) + t1.ply_count)
     angles = np.array(t1.angles + t2.angles, dtype=object)[index]
-    return StepLaminate(tuple(raw[first].tolist()), tuple(angles))
+    return StepLaminate(tuple(edges.tolist()), tuple(angles))
 
 
 def bezout_solve(p: int, q: int) -> tuple[int, int]:

@@ -12,10 +12,9 @@ lies in [-1, 1]:
 For a step function each integral is a finite sum over the intervals:
 the interval's trig values times its closed-form moments
 (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3). `lamination_parameters`
-computes that sum in floats, with no quadrature error. It is not exact:
-each moment is a difference of rounded powers and can be off by a few
-u * max(|lo|, |hi|)^(j+1) (u = 2^-53) for order j, however thin the
-interval, so the parameters carry that much round-off per interval.
+computes that sum in floats, with no quadrature error. It is not exact,
+but each moment is taken in width-proportional form and is within a few
+u (u = 2^-53) of its own size, so what remains is summation round-off.
 """
 
 from __future__ import annotations
@@ -60,12 +59,12 @@ def lamination_parameters(t: StepLaminate) -> LamParams:
     """Lamination parameters of a step laminate from closed-form moments.
 
     No quadrature is involved: per interval the four trig values multiply
-    the interval's float moments (`_interval_moments`, whose round-off,
-    not the summation's, dominates the error), and the products are
-    summed. The laminate is taken `_BLOCK` intervals at a time, so no
-    temporary grows with the ply count. Each block is summed pairwise
-    (np.sum, error growing like log2(_BLOCK) * u), and math.fsum adds the
-    block sums with a single rounding.
+    the interval's float moments (`_interval_moments`, each within a few
+    u of its own size), and the products are summed; the error is of the
+    order of the summation's. The laminate is taken `_BLOCK` intervals at
+    a time, so no temporary grows with the ply count. Each block is
+    summed pairwise (np.sum, error growing like log2(_BLOCK) * u), and
+    math.fsum adds the block sums with a single rounding.
     """
     import numpy as np
     parts = []
@@ -82,18 +81,16 @@ def lamination_parameters(t: StepLaminate) -> LamParams:
 
 
 def _interval_moments(edges: np.ndarray) -> np.ndarray:
-    """3 x B closed-form moments (hi - lo, (hi^2 - lo^2)/2, (hi^3 - lo^3)/3)
-    of the B intervals between consecutive edges, as differences of float
-    powers. The powers are rounded before they are subtracted, so the
-    order-j moment of an interval can be off by a few
-    u * max(|lo|, |hi|)^(j+1) (u = 2^-53), however thin the interval, not
-    by a few u times the moment itself."""
+    """3 x B closed-form moments of the B intervals between consecutive
+    edges, in width-proportional form: with w = hi - lo, they are w,
+    w * (hi + lo) / 2 and w * (hi^2 + hi*lo + lo^2) / 3. Nothing cancels
+    (hi^2 + hi*lo + lo^2 >= (hi^2 + lo^2) / 2), so each moment is within a
+    few u (u = 2^-53) of its exact value relative to the moment itself
+    (barring underflow), however thin the interval."""
     import numpy as np
-    powers = np.empty((3, edges.size))
-    powers[0] = edges
-    np.multiply(edges, edges, out=powers[1])
-    np.multiply(powers[1], edges, out=powers[2])
-    return (powers[:, 1:] - powers[:, :-1]) / np.array([[1.0], [2.0], [3.0]])
+    lo, hi = edges[:-1], edges[1:]
+    w = hi - lo
+    return np.stack((w, w * (hi + lo) / 2.0, w * (hi * hi + hi * lo + lo * lo) / 3.0))
 
 
 def _trig_rows(angles: Sequence[float]) -> np.ndarray:

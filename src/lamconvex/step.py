@@ -129,7 +129,7 @@ def merge_close(sorted_values: Sequence[float]) -> list[float]:
     """
     import numpy as np
     values = np.asarray(sorted_values, dtype=np.float64)
-    keep = _kept(values[1:], values[0]).tolist()
+    keep = (values[1:] != values[:-1]).tolist()
     return [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
 
 
@@ -139,12 +139,14 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
 
     Breakpoints merge only when equal, so every breakpoint of either input
     is a refinement breakpoint, and each interval takes each input's angle
-    at its left edge, exactly.
+    at its left edge, exactly: the float objects of the inputs' angles.
     """
     import numpy as np
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
     lefts = np.array(bps[:-1])
-    return RefinedPair(tuple(bps), _angles_at(t1, lefts), _angles_at(t2, lefts))
+    return RefinedPair(tuple(bps), *(
+        tuple(np.array(t.angles, dtype=object)[_interval_index(t.breakpoints, lefts)])
+        for t in (t1, t2)))
 
 
 def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
@@ -164,19 +166,11 @@ def _kept(values: np.ndarray, start: float) -> np.ndarray:
     return values > before
 
 
-def _angle_index(t: StepLaminate, points: np.ndarray) -> np.ndarray:
-    """Index of the interval of t holding each point of [-1, 1); a point on
-    a breakpoint belongs to the interval to its right."""
+def _interval_index(edges: Sequence[float], points: np.ndarray) -> np.ndarray:
+    """Index of the interval between sorted `edges` that holds each point;
+    a point on an edge belongs to the interval to its right."""
     import numpy as np
-    bps = np.fromiter(t.breakpoints, np.float64, len(t.breakpoints))
-    return np.searchsorted(bps, points, side="right") - 1
-
-
-def _angles_at(t: StepLaminate, points: np.ndarray) -> tuple[float, ...]:
-    """t's angle at each point (see `_angle_index`): the float objects of
-    t.angles themselves, not copies."""
-    import numpy as np
-    return tuple(np.array(t.angles, dtype=object)[_angle_index(t, points)])
+    return np.searchsorted(edges, points, side="right") - 1
 
 
 def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:

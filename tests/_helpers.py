@@ -224,6 +224,19 @@ def combine_reference(t1, t2, alpha):
     return StepLaminate(tuple(edges), tuple(angles))
 
 
+def laminate_to_dict(t, name=None) -> dict:
+    """The content of a laminate file as a dict: the reference that
+    `save_laminate`'s bytes are checked against, as `json.dump` of it at
+    indent=2 plus a newline."""
+    data = {
+        "breakpoints": list(t.breakpoints),
+        "angles_deg": [math.degrees(a) for a in t.angles],
+    }
+    if name is not None:
+        data["name"] = name
+    return data
+
+
 def max_param_diff(p, q) -> float:
     return max(abs(a - b) for a, b in zip(p.flat(), q.flat()))
 

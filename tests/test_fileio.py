@@ -13,13 +13,12 @@ from lamconvex import (
     StepLaminate,
     convex_combine,
     laminate_from_dict,
-    laminate_to_dict,
     lamination_parameters,
     load_laminate,
     save_laminate,
 )
 
-from _helpers import max_param_diff, ply_laminate, random_laminate
+from _helpers import laminate_to_dict, max_param_diff, ply_laminate, random_laminate
 
 
 def write_json(path, payload):

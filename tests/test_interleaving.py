@@ -120,8 +120,18 @@ class TestInterleave:
     def test_matches_loop_reference(self, t1, t2, alpha, n):
         want_bps, want_angles = loop_interleave(t1, t2, alpha, n)
         got = interleave(t1, t2, alpha, n)
-        assert got.breakpoints == want_bps
+        assert [b.hex() for b in got.breakpoints] == [b.hex() for b in want_bps]
         assert got.angles == want_angles
+
+    @pytest.mark.parametrize("n", [8192, 2**17])
+    def test_shared_zero_edge_keeps_the_cell_edge(self, n):
+        # 0 is a cell edge (+0.0) and a breakpoint of both sources (-0.0);
+        # of equal edges the first in (part starts, t1, t2) order is kept
+        t1 = StepLaminate((-1.0, -0.0, 1.0), (0.1, 0.2))
+        t2 = StepLaminate((-1.0, -0.0, 0.5, 1.0), (0.3, 0.4, 0.5))
+        t = interleave(t1, t2, 0.3, n)
+        (zero_edge,) = [b for b in t.breakpoints if b == 0.0]
+        assert math.copysign(1.0, zero_edge) == 1.0
 
     @pytest.mark.parametrize("n", [2**16, 2**17])
     def test_parameters_match_exact_reference(self, n):

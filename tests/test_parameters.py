@@ -6,7 +6,13 @@ from hypothesis import given, settings
 
 from lamconvex import StepLaminate, lamination_parameters
 
-from _helpers import laminates, max_param_diff, quadrature_parameters, random_laminate
+from _helpers import (
+    exact_parameters,
+    laminates,
+    max_param_diff,
+    quadrature_parameters,
+    random_laminate,
+)
 
 
 def test_zero_angle_constant():
@@ -66,6 +72,21 @@ def test_bounds_on_random_laminates():
     for _ in range(1000):
         t = random_laminate(rng, max_plies=16)
         assert max(abs(v) for v in lamination_parameters(t).flat()) <= 1.0 + 1e-12
+
+
+def test_many_thin_pieces_stay_near_exact():
+    # 2^16 pieces at full float resolution: each width-proportional moment
+    # is within a few u of its own size, so what is left is summation
+    # round-off (2.8e-17 measured); moments taken as differences of
+    # rounded powers put this laminate 6.0e-15 off
+    rng = random.Random(2)
+    interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(2**16 - 1))
+    angles = tuple(math.radians(rng.choice((0.0, 30.0, 45.0, -60.0, 90.0)))
+                   for _ in range(2**16))
+    t = StepLaminate((-1.0, *interior, 1.0), angles)
+    got = lamination_parameters(t).flat()
+    worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
+    assert worst <= 5e-16, worst
 
 
 @settings(max_examples=60)

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "find_n_in_region",
     "interleave",
     "laminate_from_dict",
-    "laminate_to_dict",
     "lamination_parameters",
     "load_laminate",
     "matched_split",
@@ -44,7 +43,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 32
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 31
 
 
 def test_star_import_binds_exactly_the_public_names():
