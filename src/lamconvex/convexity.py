@@ -28,6 +28,8 @@ family.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import lt, ne, sub
 
 from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
@@ -42,27 +44,26 @@ def matched_split(lo, hi, fraction: float):
     E = (lo, b) u (c, d) carries `fraction` of all three moments; the
     complement (b, c) u (d, hi) carries the rest.
 
-    lo and hi are floats, or float64 arrays of one shape split
-    elementwise; fraction is one float. Both take the same IEEE
-    operations, so an array gives bit for bit the floats of one call per
-    interval: the three coefficients of the module docstring are formed
-    once from the fraction, and each point is lo + coefficient * (hi - lo).
-    The strict order lo < b < c < d < hi holds in exact arithmetic; in
-    floating point the points of a tiny interval, or at a fraction within
-    a few units of round-off of 0 or 1, may coincide with each other or
-    an end.
+    lo and hi are floats, giving three floats, or sequences of one length,
+    giving three lists split elementwise; fraction is one float. Both take
+    the same IEEE operations, so sequences give bit for bit the floats of
+    one call per interval: the three coefficients of the module docstring
+    are formed once from the fraction, and each point is
+    lo + coefficient * (hi - lo). The strict order lo < b < c < d < hi
+    holds in exact arithmetic; in floating point the points of a tiny
+    interval, or at a fraction within a few units of round-off of 0 or 1,
+    may coincide with each other or an end.
 
     Raises:
         DegenerateInterval: if some lo >= hi or an endpoint is not finite.
         AlphaOutOfRange: if fraction is not strictly inside (0, 1).
     """
-    # a bool for floats, so that a scalar call does not need numpy
-    ok = (-math.inf < lo) & (lo < hi) & (hi < math.inf)
-    if not (ok if isinstance(ok, bool) else ok.all()):
-        import numpy as np
-        i = np.argmin(ok)
-        los, his = (np.ravel(v) for v in np.broadcast_arrays(lo, hi))
-        raise DegenerateInterval(f"cannot split interval ({los[i]}, {his[i]})")
+    single = not hasattr(lo, "__len__")
+    los, his = ((lo,), (hi,)) if single else (lo, hi)
+    if not (all(map(lt, los, his)) and -math.inf < min(los, default=0.0)
+            and max(his, default=0.0) < math.inf):
+        l, h = next((l, h) for l, h in zip(los, his) if not -math.inf < l < h < math.inf)
+        raise DegenerateInterval(f"cannot split interval ({l}, {h})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
     f = fraction
@@ -72,8 +73,12 @@ def matched_split(lo, hi, fraction: float):
     else:
         w = (8.0 * f - 4.0 + root) / 12.0
     c = (2.0 - f) / 3.0
-    length = hi - lo
-    return lo + (f - w) * length, lo + c * length, lo + (c + w) * length
+    kb, kc, kd = f - w, c, c + w
+    if single:
+        length = hi - lo
+        return lo + kb * length, lo + kc * length, lo + kd * length
+    lengths = list(map(sub, his, los))
+    return tuple([l + k * length for l, length in zip(los, lengths)] for k in (kb, kc, kd))
 
 
 def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLaminate:
@@ -100,27 +105,24 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
         return t1
     if alpha == 1.0:
         return t2
-    import numpy as np
     rp = refine(t1, t2)
-    n = len(rp.angles1)
-    edges = np.array(rp.breakpoints)
-    ang1 = np.array(rp.angles1, dtype=object)
-    ang2 = np.array(rp.angles2, dtype=object)
-    differ = ang1 != ang2
-    fraction, matched, rest = (alpha, ang2, ang1) if alpha < 0.5 else (1.0 - alpha, ang1, ang2)
-    # one block of 4 pieces per refinement interval; an interval whose
-    # angles agree keeps only the last piece, the whole interval with t1's angle
-    rights = np.empty((n, 4))
-    rights[differ, :3] = np.column_stack(
-        matched_split(edges[:-1][differ], edges[1:][differ], fraction))
-    rights[:, 3] = edges[1:]
-    angles = np.empty((n, 4), dtype=object)
-    angles[:, 0::2] = matched[:, None]
-    angles[:, 1::2] = rest[:, None]
-    angles[~differ, 3] = ang1[~differ]
-    keep = np.ones((n, 4), dtype=bool)
-    keep[~differ, :3] = False
-    return StepLaminate.from_pieces(rights[keep], angles[keep])
+    edges = rp.breakpoints
+    differ = list(map(ne, rp.angles1, rp.angles2))
+    fraction, matched, rest = ((alpha, rp.angles2, rp.angles1) if alpha < 0.5
+                               else (1.0 - alpha, rp.angles1, rp.angles2))
+    splits = zip(*matched_split(list(compress(edges, differ)),
+                                list(compress(edges[1:], differ)), fraction))
+    # 4 pieces per interval whose angles differ; one piece with t1's angle
+    # for the whole of any other interval
+    rights, angles = [], []
+    for hi, split, e, r, a1 in zip(edges[1:], differ, matched, rest, rp.angles1):
+        if split:
+            rights += (*next(splits), hi)
+            angles += (e, r, e, r)
+        else:
+            rights.append(hi)
+            angles.append(a1)
+    return StepLaminate.from_pieces(rights, angles)
 
 
 @dataclass(frozen=True)

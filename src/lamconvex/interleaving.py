@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import compress, islice
+from operator import lt, mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -44,11 +45,14 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
-from .step import StepLaminate, _interval_index
+from .step import StepLaminate, _interval_index, merge_close
 
 Number = Union[Fraction, int, float]
 
 DEFAULT_SEARCH_CAP = 10_000_000
+
+# Most cells `interleave` builds: about 2^21 pieces, a few hundred MB of floats.
+MAX_CELLS = 1 << 20
 
 
 def _check_alpha(alpha: float) -> None:
@@ -56,9 +60,11 @@ def _check_alpha(alpha: float) -> None:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, most: int | None = None) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if most is not None and n > most:
+        raise ValueError(f"n = {n} is above {most}, the most cells interleave builds")
 
 
 def _exact_y(x: Number) -> Fraction:
@@ -80,26 +86,25 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     piece. Each piece looks its left edge up among the starts of the
     parts that hold one, which gives its part and so its source (the
     part's parity), and then among that source's breakpoints, which gives
-    its angle; both lookups are `_interval_index`.
+    its angle; both lookups are `_interval_index`. An n above `MAX_CELLS`
+    raises ValueError before anything is built (`convergence_table` takes
+    any n).
     """
-    import numpy as np
     _check_alpha(alpha)
-    _check_n(n)
-    left = -1.0 + (2.0 * np.arange(n, dtype=np.float64)) / n
-    starts = np.empty(2 * n + 1)  # part k starts at starts[k]; even k is t1's, odd k t2's
+    _check_n(n, most=MAX_CELLS)
+    left = [-1.0 + (2.0 * i) / n for i in range(n)]
+    step = 2.0 * alpha / n
+    starts = [1.0] * (2 * n + 1)  # part k starts at starts[k]; even k is t1's, odd k t2's
     starts[0:-1:2] = left
-    starts[1:-1:2] = left + 2.0 * alpha / n
-    starts[-1] = 1.0
-    live = np.flatnonzero(starts[:-1] < starts[1:])  # parts holding a piece, starts increasing
-    edges = np.sort(np.concatenate((starts, t1.breakpoints[1:-1], t2.breakpoints[1:-1])),
-                    kind="stable")
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    starts[1:-1:2] = [x + step for x in left]
+    live = list(compress(range(2 * n), map(lt, starts, islice(starts, 1, None))))
+    edges = merge_close(sorted(starts + list(t1.breakpoints[1:-1] + t2.breakpoints[1:-1])))
     lefts = edges[:-1]
-    part = live[_interval_index(starts[live], lefts)]
-    index = np.where(part % 2 == 0, _interval_index(t1.breakpoints, lefts),
-                     _interval_index(t2.breakpoints, lefts) + t1.ply_count)
-    angles = np.array(t1.angles + t2.angles, dtype=object)[index]
-    return StepLaminate(tuple(edges.tolist()), tuple(angles))
+    parts = _interval_index(list(map(starts.__getitem__, live)), lefts)
+    angles = [t2.angles[j2] if live[part] % 2 else t1.angles[j1] for part, j1, j2 in
+              zip(parts, _interval_index(t1.breakpoints, lefts),
+                  _interval_index(t2.breakpoints, lefts))]
+    return StepLaminate(tuple(edges), tuple(angles))
 
 
 def bezout_solve(p: int, q: int) -> tuple[int, int]:
@@ -316,7 +321,7 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
     bits = max(den.bit_length() - 1 for r in ratios for _, den in r)
     dyadic = [[num << (bits - den.bit_length() + 1) for num, den in r] for r in ratios]
     angles = list(dict.fromkeys(t1.angles + t2.angles))
-    trig = [[Fraction(v) for v in row] for row in _trig_rows(angles).tolist()]
+    trig = [[Fraction(v) for v in row] for row in _trig_rows(angles)]
     out = []
     for n in n_list:
         unit = n * a.denominator

@@ -20,8 +20,10 @@ u (u = 2^-53) of its own size, so what remains is summation round-off.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul, sub
+from typing import Collection, Sequence
 
 from .step import StepLaminate
 
@@ -50,58 +52,55 @@ class LamParams:
         }
 
 
-# Intervals per block of the kernel. It bounds the kernel's temporaries
-# to about 1 MB, whatever the ply count.
+# Intervals per block of the kernel. It bounds the kernel's temporaries,
+# whatever the ply count.
 _BLOCK = 1 << 13
 
 
 def lamination_parameters(t: StepLaminate) -> LamParams:
     """Lamination parameters of a step laminate from closed-form moments.
 
-    No quadrature is involved: per interval the four trig values multiply
-    the interval's float moments (`_interval_moments`, each within a few
-    u of its own size), and the products are summed; the error is of the
-    order of the summation's. The laminate is taken `_BLOCK` intervals at
-    a time, so no temporary grows with the ply count. Each block is
-    summed pairwise (np.sum, error growing like log2(_BLOCK) * u), and
-    math.fsum adds the block sums with a single rounding.
+    No quadrature is involved. The laminate is taken `_BLOCK` intervals
+    at a time, so no temporary grows with the ply count. In a block,
+    math.fsum adds the float moments (`_interval_moments`, each within a
+    few u of its own size) of each angle's intervals, each sum times a
+    trig value of its angle is rounded once, and math.fsum adds those
+    products over the angles and then over the blocks.
     """
-    import numpy as np
-    parts = []
+    bps, angles = t.breakpoints, t.angles
+    parts = [[] for _ in range(12)]  # parts[4j + k]: trig k times moment j, per block
     for start in range(0, t.ply_count, _BLOCK):
-        edges = np.array(t.breakpoints[start:start + _BLOCK + 1])
-        values = _trig_rows(t.angles[start:start + _BLOCK])
-        parts.append((values[:, np.newaxis] * _interval_moments(edges)).sum(axis=-1))
-    # parts[block][k][j]: trig value k times the order-j moment; row 4j + k
-    # below collects it over the blocks
-    rows = np.array(parts).transpose(2, 1, 0).reshape(12, len(parts)).tolist()
-    sums = [math.fsum(row) for row in rows]
+        moments = _interval_moments(bps[start:start + _BLOCK + 1])
+        groups = defaultdict(list)  # angle -> indices of its intervals in the block
+        for i, angle in enumerate(angles[start:start + _BLOCK]):
+            groups[angle].append(i)
+        rows = _trig_rows(groups)
+        for j, m in enumerate(moments):
+            sums = [math.fsum(map(m.__getitem__, index)) for index in groups.values()]
+            for k, row in enumerate(rows):
+                parts[4 * j + k].append(math.fsum(map(mul, row, sums)))
+    sums = [math.fsum(row) for row in parts]
     return LamParams(*(tuple(p * s for s in sums[4 * j:4 * j + 4])
                        for j, p in enumerate(_PREFACTORS)))
 
 
-def _interval_moments(edges: np.ndarray) -> np.ndarray:
-    """3 x B closed-form moments of the B intervals between consecutive
-    edges, in width-proportional form: with w = hi - lo, they are w,
-    w * (hi + lo) / 2 and w * (hi^2 + hi*lo + lo^2) / 3. Nothing cancels
-    (hi^2 + hi*lo + lo^2 >= (hi^2 + lo^2) / 2), so each moment is within a
-    few u (u = 2^-53) of its exact value relative to the moment itself
-    (barring underflow), however thin the interval."""
-    import numpy as np
+def _interval_moments(edges: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+    """Closed-form moments of order 0, 1 and 2 of the intervals between
+    consecutive edges, in width-proportional form: with w = hi - lo, they
+    are w, w * (hi + lo) / 2 and w * (hi^2 + hi*lo + lo^2) / 3. Nothing
+    cancels (hi^2 + hi*lo + lo^2 >= (hi^2 + lo^2) / 2), so each moment is
+    within a few u (u = 2^-53) of its exact value relative to the moment
+    itself (barring underflow), however thin the interval."""
     lo, hi = edges[:-1], edges[1:]
-    w = hi - lo
-    return np.stack((w, w * (hi + lo) / 2.0, w * (hi * hi + hi * lo + lo * lo) / 3.0))
+    w = list(map(sub, hi, lo))
+    return (w, [x * (b + a) / 2.0 for x, a, b in zip(w, lo, hi)],
+            [x * (b * b + b * a + a * a) / 3.0 for x, a, b in zip(w, lo, hi)])
 
 
-def _trig_rows(angles: Sequence[float]) -> np.ndarray:
-    """4 x B array of (cos 2a, cos 4a, sin 2a, sin 4a)."""
-    import numpy as np
-    a = np.fromiter(angles, np.float64, len(angles))
-    x = np.multiply.outer((2.0, 4.0), a)
-    rows = np.empty((4, a.size))
-    np.cos(x, out=rows[:2])
-    np.sin(x, out=rows[2:])
-    return rows
+def _trig_rows(angles: Collection[float]) -> list[list[float]]:
+    """Rows [cos 2a], [cos 4a], [sin 2a], [sin 4a] over the angles a."""
+    return [[f(c * a) for a in angles]
+            for f, c in ((math.cos, 2.0), (math.cos, 4.0), (math.sin, 2.0), (math.sin, 4.0))]
 
 
 def blend(p: LamParams, q: LamParams, weight_on_first: float) -> LamParams:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import lt
+from itertools import accumulate, compress, islice
+from operator import lt, ne
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
@@ -83,34 +83,38 @@ class StepLaminate:
         return self.angles[pos - 1]
 
     @classmethod
-    def from_pieces(cls, rights: np.ndarray, angles: np.ndarray) -> "StepLaminate":
+    def from_pieces(cls, rights: Sequence[float], angles: Sequence[float]) -> "StepLaminate":
         """Assemble from pieces starting at -1: piece i ends at rights[i]
-        (a float array) and carries angles[i] (an object array, or any
-        sequence of the same length). The last right edge must be exactly 1.
+        and carries angles[i]; both are sequences of one length. The last
+        right edge must be exactly 1.
 
         A piece whose right edge is not above every earlier edge (and -1) is
-        dropped: it is empty, or its split points crossed in floating point.
-        No other piece is dropped, however thin. Then each run of adjacent
-        pieces whose angles compare equal (`==`) becomes one piece, with
-        the run's first angle and last right edge; no measure moves. The
-        angles kept are the objects of `angles` themselves.
+        dropped: it is empty, or its split points crossed in floating point
+        (a NaN edge raises). No other piece is dropped, however thin. Then
+        each run of adjacent pieces whose angles compare equal (`==`)
+        becomes one piece, with the run's first angle and last right edge;
+        no measure moves. The angles kept are the objects of `angles`.
         """
-        import numpy as np
-        rights = np.asarray(rights, dtype=np.float64)
-        last_right = float(rights[-1]) if rights.size else -1.0
+        last_right = float(rights[-1]) if len(rights) else -1.0
         if last_right != 1.0:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
                                      field="breakpoints")
-        angles = np.asarray(angles, dtype=object)
-        if angles.shape != rights.shape:
-            raise InvariantViolation(f"{angles.size} angles for {rights.size} pieces",
+        if len(angles) != len(rights):
+            raise InvariantViolation(f"{len(angles)} angles for {len(rights)} pieces",
                                      field="angles")
-        keep = _kept(rights, -1.0)
-        rights, angles = rights[keep], angles[keep]
-        first = np.ones(angles.size, dtype=bool)  # piece starts a run of equal angles
-        first[1:] = angles[1:] != angles[:-1]
-        last = np.append(first[1:], True)
-        return cls((-1.0, *rights[last].tolist()), tuple(angles[first]))
+        edges, kept, prev = [-1.0], [], None  # prev: the last angle kept
+        for i, (right, angle) in enumerate(zip(rights, angles)):
+            if right > edges[-1]:
+                if angle == prev:
+                    edges[-1] = right
+                else:
+                    edges.append(right)
+                    kept.append(angle)
+                    prev = angle
+            elif right != right:
+                raise InvariantViolation(f"piece {i} ends at {right}",
+                                         field="breakpoints", index=i)
+        return cls(tuple(edges), tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,7 @@ def merge_close(sorted_values: Sequence[float]) -> list[float]:
     values the first is kept. Input must be finite and sorted ascending.
     The output holds the input's own objects.
     """
-    import numpy as np
-    values = np.asarray(sorted_values, dtype=np.float64)
-    keep = (values[1:] != values[:-1]).tolist()
+    keep = map(ne, islice(sorted_values, 1, None), sorted_values)
     return [sorted_values[0], *compress(islice(sorted_values, 1, None), keep)]
 
 
@@ -141,11 +143,10 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     is a refinement breakpoint, and each interval takes each input's angle
     at its left edge, exactly: the float objects of the inputs' angles.
     """
-    import numpy as np
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
-    lefts = np.array(bps[:-1])
+    lefts = bps[:-1]
     return RefinedPair(tuple(bps), *(
-        tuple(np.array(t.angles, dtype=object)[_interval_index(t.breakpoints, lefts)])
+        tuple(map(t.angles.__getitem__, _interval_index(t.breakpoints, lefts)))
         for t in (t1, t2)))
 
 
@@ -156,21 +157,13 @@ def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _kept(values: np.ndarray, start: float) -> np.ndarray:
-    """Mask of the values above `start` and above every value before them."""
-    import numpy as np
-    before = np.empty_like(values)
-    before[:1] = start
-    before[1:] = values[:-1]
-    np.maximum.accumulate(before, out=before)
-    return values > before
-
-
-def _interval_index(edges: Sequence[float], points: np.ndarray) -> np.ndarray:
+def _interval_index(edges: Sequence[float], points: Iterable[float]) -> list[int]:
     """Index of the interval between sorted `edges` that holds each point;
-    a point on an edge belongs to the interval to its right."""
-    import numpy as np
-    return np.searchsorted(edges, points, side="right") - 1
+    a point on an edge belongs to the interval to its right. The points
+    must increase strictly and include every edge up to the last point,
+    as the left edges of a refinement of `edges` do; a point's index is
+    then the count of edges among the points up to it, less one."""
+    return list(islice(accumulate(map(set(edges).__contains__, points), initial=-1), 1, None))
 
 
 def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:

@@ -262,6 +262,17 @@ class TestGsequence:
         assert code == 1
         assert "verdict interleave_residual: FAIL" in out
 
+    def test_smallest_n_above_the_cell_limit_is_a_numeric_error(self, capsys, cross_pair):
+        # the rows are closed form at any n, but the verdict builds the
+        # laminate of the smallest n, which interleave refuses up front
+        f0, f90 = cross_pair
+        code, out, err = run_cli(capsys, "gsequence", f0, f90,
+                                 "--alpha", "0.3", "--n", "1099511627776")
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: n = 1099511627776 is above {interleaving.MAX_CELLS}, "
+                       "the most cells interleave builds\n")
+
     def test_builds_one_laminate(self, capsys, cross_pair, monkeypatch):
         calls = []
         original = interleaving.interleave

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from operator import add, ne
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,14 +90,14 @@ class TestMatchedSplit:
     def test_returns_floats_for_floats(self):
         assert {type(p) for p in matched_split(-0.25, 0.5, 0.3)} == {float}
 
-    def test_arrays_match_scalar_calls_bit_for_bit(self):
+    def test_sequences_match_scalar_calls_bit_for_bit(self):
         rng = random.Random(11)
-        lo = np.array(sorted(rng.uniform(-1.0, 1.0) for _ in range(200)))
-        hi = lo + np.array([rng.uniform(1e-15, 1.0) for _ in range(200)])
+        lo = sorted(rng.uniform(-1.0, 1.0) for _ in range(200))
+        hi = [l + rng.uniform(1e-15, 1.0) for l in lo]
         for fraction in (1e-16, 0.3, 0.5, 0.7, 1.0 - 1e-16):
-            arrays = matched_split(lo, hi, fraction)
-            scalars = [matched_split(l, h, fraction) for l, h in zip(lo.tolist(), hi.tolist())]
-            assert [list(map(float.hex, col.tolist())) for col in arrays] == \
+            columns = matched_split(lo, hi, fraction)
+            scalars = [matched_split(l, h, fraction) for l, h in zip(lo, hi)]
+            assert [[p.hex() for p in col] for col in columns] == \
                 [[p.hex() for p in col] for col in zip(*scalars)]
 
     def test_rejects_bad_fraction(self):
@@ -118,8 +117,8 @@ class TestMatchedSplit:
                 matched_split(-1.0, bad, 0.3)
 
     def test_rejects_degenerate_interval_in_array(self):
-        lo = np.array([-1.0, 0.0, 0.25])
-        hi = np.array([0.0, 0.5, 0.25])
+        lo = [-1.0, 0.0, 0.25]
+        hi = [0.0, 0.5, 0.25]
         with pytest.raises(DegenerateInterval, match=r"\(0\.25, 0\.25\)"):
             matched_split(lo, hi, 0.3)
 
@@ -184,7 +183,7 @@ class TestConvexCombine:
         calls = []
 
         def counted(lo, hi, fraction):
-            calls.append(np.size(lo))
+            calls.append(len(lo))
             return matched_split(lo, hi, fraction)
 
         monkeypatch.setattr(convexity, "matched_split", counted)

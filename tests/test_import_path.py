@@ -1,7 +1,8 @@
-"""numpy is loaded by the first array-kernel call, not by the import.
+"""The package runs on the standard library alone: no import and no
+subcommand loads numpy.
 
 Each check runs in a fresh interpreter: this test process has numpy
-loaded already.
+loaded already (the test oracles use it).
 """
 
 import json
@@ -42,11 +43,31 @@ def test_oscillate_does_not_load_numpy(tmp_path):
     assert run_python(CLI.format(argv=argv), tmp_path) == [0, False]
 
 
-def test_params_loads_numpy(tmp_path):
-    path = tmp_path / "ply.json"
-    path.write_text(json.dumps({"breakpoints": [-1, 1], "angles_deg": [45]}))
-    argv = ["params", str(path), "--json"]
-    assert run_python(CLI.format(argv=argv), tmp_path) == [0, True]
+BLOCKED = """
+import contextlib, io, json, sys
+sys.modules['numpy'] = None  # any import of numpy now raises ImportError
+from lamconvex.cli import main
+codes = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
+    ply1, ply2 = tmp_path / "a.json", tmp_path / "b.json"
+    ply1.write_text(json.dumps({"breakpoints": [-1, 0, 1], "angles_deg": [0, 90]}))
+    ply2.write_text(json.dumps({"breakpoints": [-1, 0.25, 1], "angles_deg": [45, -45]}))
+    argvs = [
+        ["params", str(ply1), "--json"],
+        ["combine", str(ply1), str(ply2), "--alpha", "0.3",
+         "--out", str(tmp_path / "out.json"), "--json"],
+        ["gsequence", str(ply1), str(ply2), "--alpha", "0.3", "--n", "4,64", "--json"],
+        ["oscillate", "--x=-1/3", "--alpha", "0.5", "--json"],
+    ]
+    assert run_python(BLOCKED.format(argvs=argvs), tmp_path) == [0, 0, 0, 0]
+    assert json.loads((tmp_path / "out.json").read_text())["breakpoints"][0] == -1.0
 
 
 THREADS = """
@@ -56,7 +77,6 @@ from lamconvex import StepLaminate, lamination_parameters
 plies = 1000
 t = StepLaminate(tuple(-1.0 + 2.0 * i / plies for i in range(plies + 1)),
                  tuple(math.radians((0, 45, -45, 90)[i % 4]) for i in range(plies)))
-assert 'numpy' not in sys.modules
 start = threading.Barrier(4)
 results = [None] * 4
 
@@ -68,12 +88,13 @@ threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
 for thread in threads:
     thread.start()
 for thread in threads:
-    thread.join()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
 serial = [v.hex() for v in lamination_parameters(t).flat()]
 print(json.dumps([results, serial]))
 """
 
 
-def test_first_numpy_use_from_four_threads(tmp_path):
+def test_kernel_calls_from_four_threads_match_a_serial_call(tmp_path):
     results, serial = run_python(THREADS, tmp_path)
     assert results == [serial] * 4

@@ -80,6 +80,18 @@ class TestInterleave:
         with pytest.raises(ValueError):
             interleave(T0, T90, 0.5, 0)
 
+    @pytest.mark.parametrize("n", [interleaving.MAX_CELLS + 1, 2**40])
+    def test_rejects_more_cells_than_it_builds(self, n):
+        # the limit is checked before any cell edge is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n = {n} is above {interleaving.MAX_CELLS}"):
+                interleave(T0, T90, 0.3, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, f"peak {peak} bytes"
+
     def test_keeps_near_coincident_breakpoints(self):
         # 0, 7.5e-13 and 1.5e-12 all stay: the two thin pieces of the
         # second cell's first half take t1's angles
@@ -510,7 +522,6 @@ class TestConvergenceTable:
     def test_huge_n_stays_small_in_memory(self):
         rng = random.Random(40)
         t1, t2 = ply_laminate(rng, 28), ply_laminate(rng, 32)
-        convergence_table(t1, t2, 0.75, [16])  # numpy loaded before measuring
         tracemalloc.start()
         try:
             convergence_table(t1, t2, 0.75, [2**40])

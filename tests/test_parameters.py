@@ -78,15 +78,24 @@ def test_many_thin_pieces_stay_near_exact():
     # 2^16 pieces at full float resolution: each width-proportional moment
     # is within a few u of its own size, so what is left is summation
     # round-off (2.8e-17 measured); moments taken as differences of
-    # rounded powers put this laminate 6.0e-15 off
+    # rounded powers put this laminate 6.0e-15 off. The second laminate
+    # gives every ply its own angle, the worst case for the kernel's
+    # per-angle sums, over three blocks of 8192 plies (the kernel's
+    # block size) and 5 plies more.
     rng = random.Random(2)
     interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(2**16 - 1))
     angles = tuple(math.radians(rng.choice((0.0, 30.0, 45.0, -60.0, 90.0)))
                    for _ in range(2**16))
-    t = StepLaminate((-1.0, *interior, 1.0), angles)
-    got = lamination_parameters(t).flat()
-    worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
-    assert worst <= 5e-16, worst
+    few = StepLaminate((-1.0, *interior, 1.0), angles)
+    plies = 3 * 8192 + 5
+    interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(plies - 1))
+    distinct = StepLaminate((-1.0, *interior, 1.0),
+                            tuple(rng.uniform(-math.pi, math.pi) for _ in range(plies)))
+    assert len(set(distinct.angles)) == plies
+    for t in (few, distinct):
+        got = lamination_parameters(t).flat()
+        worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
+        assert worst <= 5e-16, worst
 
 
 @settings(max_examples=60)

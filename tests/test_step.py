@@ -245,9 +245,11 @@ class TestStepLaminate:
             StepLaminate.from_pieces(np.array([0.0]), [0.3])
 
     def test_from_pieces_rejects_nan_end(self):
-        with pytest.raises(InvariantViolation) as info:
-            StepLaminate.from_pieces(np.array([0.5, math.nan]), [0.1, 0.2])
-        assert info.value.field == "breakpoints"
+        # a NaN right edge, last or inside, is never dropped as a collapsed piece
+        for rights in ([0.5, math.nan], [0.5, math.nan, 0.75, 1.0]):
+            with pytest.raises(InvariantViolation) as info:
+                StepLaminate.from_pieces(np.array(rights), [0.1, 0.2, 0.3, 0.4][:len(rights)])
+            assert info.value.field == "breakpoints"
 
     def test_from_pieces_two_slivers_in_a_row(self):
         # pieces 5e-13, 0.6e-12 and one float step wide are all kept, at
