@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .convexity import DEFAULT_TOLERANCE, convex_combine, verify_combination
@@ -38,12 +37,14 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
 class Report:
-    operation: str
-    inputs: dict
-    payload: dict
-    verdicts: list = field(default_factory=list)
+    """One subcommand's result: its inputs, payload and verdicts."""
+
+    def __init__(self, operation: str, inputs: dict, payload: dict):
+        self.operation = operation
+        self.inputs = inputs
+        self.payload = payload
+        self.verdicts = []
 
     def add_verdict(self, name: str, value: float, tolerance: float, passed: bool):
         self.verdicts.append({

@@ -27,10 +27,10 @@ family.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import lt, ne, sub
 
+from ._record import Record
 from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
 from .step import StepLaminate, refine
@@ -105,6 +105,14 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
         return t1
     if alpha == 1.0:
         return t2
+    return StepLaminate.from_pieces(*_pieces(t1, t2, alpha))
+
+
+def _pieces(t1: StepLaminate, t2: StepLaminate,
+            alpha: float) -> tuple[list[float], list[float]]:
+    """The right edges and angles of `convex_combine`'s pieces, for
+    0 < alpha < 1. The refinement and the split points are locals here,
+    so they are freed before `from_pieces` builds the result."""
     rp = refine(t1, t2)
     edges = rp.breakpoints
     differ = list(map(ne, rp.angles1, rp.angles2))
@@ -122,13 +130,14 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
         else:
             rights.append(hi)
             angles.append(a1)
-    return StepLaminate.from_pieces(rights, angles)
+    return rights, angles
 
 
-@dataclass(frozen=True)
-class CombinationReport:
+class CombinationReport(Record):
     """Componentwise check of the convex-combination identity."""
 
+    __slots__ = ("alpha", "expected", "actual", "residuals", "max_residual", "tolerance",
+                 "passed")
     alpha: float
     expected: LamParams
     actual: LamParams

@@ -15,7 +15,6 @@ final newline. That is `json.dump(data, fh, indent=2)` plus a newline.
 import json
 import math
 import os
-from typing import Any
 
 from .errors import ParseError
 from .step import StepLaminate, normalize_breakpoints
@@ -44,7 +43,7 @@ def _number_list(data: dict, key: str) -> list[float]:
     return out
 
 
-def laminate_from_dict(data: Any, normalize: bool = False) -> StepLaminate:
+def laminate_from_dict(data: object, normalize: bool = False) -> StepLaminate:
     """Build a laminate from parsed JSON. Unknown fields are rejected so
     unit or spelling mistakes cannot pass silently."""
     if not isinstance(data, dict):

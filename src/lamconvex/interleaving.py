@@ -31,12 +31,12 @@ one partial cell. `interleave` builds the real laminate for one n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, islice
 from operator import lt, mul
-from typing import Sequence, Union
 
+from ._record import Record
 from .errors import (
     AlphaOutOfRange,
     JOutOfRange,
@@ -47,7 +47,7 @@ from .errors import (
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
 from .step import StepLaminate, _interval_index, merge_close
 
-Number = Union[Fraction, int, float]
+Number = Fraction | int | float
 
 DEFAULT_SEARCH_CAP = 10_000_000
 
@@ -213,8 +213,7 @@ def find_n_in_region(y: Number, lo: float, hi: float, n_min: int = 1,
     return n
 
 
-@dataclass(frozen=True)
-class WitnessTable:
+class WitnessTable(Record):
     """Indices certifying that the interleaved value at x keeps taking
     both sources' values.
 
@@ -227,16 +226,19 @@ class WitnessTable:
         frac(n*y) = alpha, which exist only when alpha*q is an integer.
         A float x has a large power-of-two q, so the cap usually leaves
         this empty.
-    angle1 / angle2: the two sources' values at x, None where undefined.
+    angle1 / angle2: the two sources' values at x, None where undefined
+        (the default).
     """
 
+    __slots__ = ("x", "alpha", "below", "above", "undefined_at", "angle1", "angle2")
+    _defaults = {"angle1": None, "angle2": None}
     x: Number
     alpha: float
     below: tuple[tuple[int, Number], ...]
     above: tuple[tuple[int, Number], ...]
     undefined_at: tuple[int, ...]
-    angle1: float | None = None
-    angle2: float | None = None
+    angle1: float | None
+    angle2: float | None
 
     @property
     def distinct_values(self) -> bool | None:
@@ -363,8 +365,7 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
     return out
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     """The parameters of the n-th interleaved laminate and the
     componentwise distance to the limiting blend.
 
@@ -373,6 +374,7 @@ class ConvergenceRow:
     per n; the residuals are taken from them in float.
     """
 
+    __slots__ = ("n", "params", "residuals")
     n: int
     params: LamParams
     residuals: tuple[float, ...]

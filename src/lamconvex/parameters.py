@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Collection, Sequence
 from operator import mul, sub
-from typing import Collection, Sequence
 
+from ._record import Record
 from .step import StepLaminate
 
 # Scale factors for the z^0, z^1, z^2 weighted families.
 _PREFACTORS = (0.5, 1.0, 1.5)
 
 
-@dataclass(frozen=True)
-class LamParams:
+class LamParams(Record):
     """In-plane (xi_a), coupling (xi_b) and bending (xi_d) parameter
     quadruples, ordered [cos 2t, cos 4t, sin 2t, sin 4t]."""
 
+    __slots__ = ("xi_a", "xi_b", "xi_d")
     xi_a: tuple[float, float, float, float]
     xi_b: tuple[float, float, float, float]
     xi_d: tuple[float, float, float, float]

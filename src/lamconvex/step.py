@@ -10,24 +10,26 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, islice
 from operator import lt, ne
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
 
 
-@dataclass(frozen=True)
-class StepLaminate:
+class StepLaminate(Record):
     """Piecewise-constant layup-angle function on [-1, 1].
 
     breakpoints: strictly increasing, first exactly -1.0, last exactly 1.0.
     angles: one value per interval, radians.
 
-    Instances are immutable and safe to share between threads.
+    Instances are immutable and safe to share between threads. Every
+    construction, unpickling included, runs `__post_init__`, which
+    validates the fields and stores them as tuples of floats.
     """
 
+    __slots__ = ("breakpoints", "angles")
     breakpoints: tuple[float, ...]
     angles: tuple[float, ...]
 
@@ -114,13 +116,15 @@ class StepLaminate:
             elif right != right:
                 raise InvariantViolation(f"piece {i} ends at {right}",
                                          field="breakpoints", index=i)
-        return cls(tuple(edges), tuple(kept))
+        breakpoints = tuple(edges)
+        del edges  # freed before the angles tuple is built
+        return cls(breakpoints, tuple(kept))
 
 
-@dataclass(frozen=True)
-class RefinedPair:
+class RefinedPair(Record):
     """Two laminates expressed on their common breakpoint refinement."""
 
+    __slots__ = ("breakpoints", "angles1", "angles2")
     breakpoints: tuple[float, ...]
     angles1: tuple[float, ...]
     angles2: tuple[float, ...]

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone: no import and no
-subcommand loads numpy.
+subcommand loads numpy, nor dataclasses, inspect or typing, which cost
+start-up time on every command.
 
 Each check runs in a fresh interpreter: this test process has numpy
 loaded already (the test oracles use it).
@@ -14,12 +15,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(code: str, cwd) -> object:
-    """Run code in a fresh interpreter with the package on its path and
-    return the JSON value of its last line of output."""
+def run_python(code: str, cwd, *options: str) -> object:
+    """Run code in a fresh interpreter, given the interpreter options,
+    with the package on its path and return the JSON value of its last
+    line of output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=120)
+    proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -43,19 +45,23 @@ def test_oscillate_does_not_load_numpy(tmp_path):
     assert run_python(CLI.format(argv=argv), tmp_path) == [0, False]
 
 
-BLOCKED = """
+SUBCOMMANDS = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 sys.modules['numpy'] = None  # any import of numpy now raises ImportError
 from lamconvex.cli import main
 codes = []
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps(codes))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 """
 
 
-def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
+def run_every_subcommand(tmp_path, *options: str) -> tuple[list[int], list[str]]:
+    """Exit codes of `params`, `combine --out`, `gsequence` and
+    `oscillate` run through `main` in one fresh interpreter, and the
+    modules loaded from the start of the script on."""
     ply1, ply2 = tmp_path / "a.json", tmp_path / "b.json"
     ply1.write_text(json.dumps({"breakpoints": [-1, 0, 1], "angles_deg": [0, 90]}))
     ply2.write_text(json.dumps({"breakpoints": [-1, 0.25, 1], "angles_deg": [45, -45]}))
@@ -66,8 +72,21 @@ def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
         ["gsequence", str(ply1), str(ply2), "--alpha", "0.3", "--n", "4,64", "--json"],
         ["oscillate", "--x=-1/3", "--alpha", "0.5", "--json"],
     ]
-    assert run_python(BLOCKED.format(argvs=argvs), tmp_path) == [0, 0, 0, 0]
+    return run_python(SUBCOMMANDS.format(argvs=argvs), tmp_path, *options)
+
+
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
+    codes, _ = run_every_subcommand(tmp_path)
+    assert codes == [0, 0, 0, 0]
     assert json.loads((tmp_path / "out.json").read_text())["breakpoints"][0] == -1.0
+
+
+def test_no_subcommand_loads_dataclasses_inspect_or_typing(tmp_path):
+    # -S: no site module, which on some installs loads typing by itself
+    codes, loaded = run_every_subcommand(tmp_path, "-S")
+    assert codes == [0, 0, 0, 0]
+    assert {"lamconvex.cli", "argparse", "fractions"} <= set(loaded)
+    assert not {"dataclasses", "inspect", "typing"} & set(loaded)
 
 
 THREADS = """
