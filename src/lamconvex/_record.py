@@ -4,25 +4,23 @@
 class Record:
     """An immutable record whose fields are its class's `__slots__`.
 
-    A record is built from its fields by position or by keyword; a field
-    named in the class's `_defaults` may be left out. Once the fields are
-    set, `__post_init__` runs: a subclass checks or converts its fields
-    there, setting them with `object.__setattr__`. Records are equal only
-    to records of the same class with equal fields, hash by their fields
-    and refuse assignment and deletion. Pickling and copying rebuild a
-    record by calling its class, so `__post_init__` runs again.
+    A record is built from all its fields, by position or by keyword.
+    Once the fields are set, `__post_init__` runs: a subclass checks or
+    converts its fields there, setting them with `object.__setattr__`.
+    Records are equal only to records of the same class with equal
+    fields, hash by their fields and refuse assignment and deletion.
+    Pickling and copying rebuild a record by calling its class, so
+    `__post_init__` runs again.
     """
 
     __slots__ = ()
-    _defaults = {}  # field name -> default value; read, never changed
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
         name = type(self).__name__
         if len(args) > len(names):
             raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)}")
-        values = dict(self._defaults)
-        values.update(zip(names, args))
+        values = dict(zip(names, args))
         for key, value in kwargs.items():
             if key not in names or names.index(key) < len(args):
                 raise TypeError(f"{name}() got an unexpected or repeated field {key!r}")

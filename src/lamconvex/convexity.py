@@ -28,7 +28,7 @@ family.
 
 import math
 from itertools import compress
-from operator import lt, ne, sub
+from operator import ne, sub
 
 from ._record import Record
 from .errors import AlphaOutOfRange, DegenerateInterval
@@ -39,31 +39,25 @@ from .step import StepLaminate, refine
 DEFAULT_TOLERANCE = 1e-12
 
 
-def matched_split(lo, hi, fraction: float):
+def matched_split(lo: float, hi: float, fraction: float) -> tuple[float, float, float]:
     """(b, c, d) of the split of (lo, hi) whose matched set
     E = (lo, b) u (c, d) carries `fraction` of all three moments; the
     complement (b, c) u (d, hi) carries the rest.
 
-    lo and hi are floats, giving three floats, or sequences of one length,
-    giving three lists split elementwise; fraction is one float. Both take
-    the same IEEE operations, so sequences give bit for bit the floats of
-    one call per interval: the three coefficients of the module docstring
-    are formed once from the fraction, and each point is
-    lo + coefficient * (hi - lo). The strict order lo < b < c < d < hi
-    holds in exact arithmetic; in floating point the points of a tiny
-    interval, or at a fraction within a few units of round-off of 0 or 1,
-    may coincide with each other or an end.
+    The three coefficients of the module docstring are formed from the
+    fraction, and each point is lo + coefficient * (hi - lo); on the unit
+    interval, (0.0, 1.0), the points are the coefficients themselves,
+    exactly. The strict order lo < b < c < d < hi holds in exact
+    arithmetic; in floating point the points of a tiny interval, or at a
+    fraction within a few units of round-off of 0 or 1, may coincide with
+    each other or an end.
 
     Raises:
-        DegenerateInterval: if some lo >= hi or an endpoint is not finite.
+        DegenerateInterval: if lo >= hi or an endpoint is not finite.
         AlphaOutOfRange: if fraction is not strictly inside (0, 1).
     """
-    single = not hasattr(lo, "__len__")
-    los, his = ((lo,), (hi,)) if single else (lo, hi)
-    if not (all(map(lt, los, his)) and -math.inf < min(los, default=0.0)
-            and max(his, default=0.0) < math.inf):
-        l, h = next((l, h) for l, h in zip(los, his) if not -math.inf < l < h < math.inf)
-        raise DegenerateInterval(f"cannot split interval ({l}, {h})")
+    if not -math.inf < lo < hi < math.inf:
+        raise DegenerateInterval(f"cannot split interval ({lo}, {hi})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
     f = fraction
@@ -73,12 +67,8 @@ def matched_split(lo, hi, fraction: float):
     else:
         w = (8.0 * f - 4.0 + root) / 12.0
     c = (2.0 - f) / 3.0
-    kb, kc, kd = f - w, c, c + w
-    if single:
-        length = hi - lo
-        return lo + kb * length, lo + kc * length, lo + kd * length
-    lengths = list(map(sub, his, los))
-    return tuple([l + k * length for l, length in zip(los, lengths)] for k in (kb, kc, kd))
+    length = hi - lo
+    return lo + (f - w) * length, lo + c * length, lo + (c + w) * length
 
 
 def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLaminate:
@@ -90,10 +80,12 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     interval is split into 4 pieces, [E, rest, E, rest], with the matched
     set E on the small side: fraction alpha carrying t2's angle when
     alpha < 1/2, else fraction 1 - alpha (exact) carrying t1's. One
-    `matched_split` call splits every such interval at once.
-    `from_pieces` then drops the pieces whose split points coincided or
-    crossed in floating point, and merges neighbours of equal angle. The
-    angles are the input angle objects themselves.
+    `matched_split` call on the unit interval gives the three split
+    coefficients, and each interval's points take the float operations
+    of a `matched_split` call on it. `from_pieces` then drops the pieces
+    whose split points coincided or crossed in floating point, and merges
+    neighbours of equal angle. The angles are the input angle objects
+    themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
@@ -118,8 +110,14 @@ def _pieces(t1: StepLaminate, t2: StepLaminate,
     differ = list(map(ne, rp.angles1, rp.angles2))
     fraction, matched, rest = ((alpha, rp.angles2, rp.angles1) if alpha < 0.5
                                else (1.0 - alpha, rp.angles1, rp.angles2))
-    splits = zip(*matched_split(list(compress(edges, differ)),
-                                list(compress(edges[1:], differ)), fraction))
+    los = list(compress(edges, differ))
+    lengths = list(map(sub, compress(edges[1:], differ), los))
+    # the float operations of one matched_split(lo, hi, fraction) call per
+    # interval, with its coefficients taken once from the unit interval;
+    # the columns' inputs are freed before the pieces grow
+    splits = zip(*([lo + k * length for lo, length in zip(los, lengths)]
+                   for k in matched_split(0.0, 1.0, fraction)))
+    del los, lengths
     # 4 pieces per interval whose angles differ; one piece with t1's angle
     # for the whole of any other interval
     rights, angles = [], []

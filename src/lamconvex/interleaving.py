@@ -31,10 +31,10 @@ one partial cell. `interleave` builds the real laminate for one n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, islice
-from operator import lt, mul
+from operator import mul
 
 from ._record import Record
 from .errors import (
@@ -45,7 +45,7 @@ from .errors import (
     UndefinedAtBreakpoint,
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
-from .step import StepLaminate, _interval_index, merge_close
+from .step import StepLaminate
 
 Number = Fraction | int | float
 
@@ -78,33 +78,32 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     """The n-th interleaved laminate.
 
     Cell i spans (-1 + 2i/n, -1 + 2(i+1)/n); its first fraction alpha
-    takes t1's values and the remainder takes t2's. Breakpoints of t1 and
-    t2 are folded in so the result is a valid step laminate; edges merge
-    only when equal, and of equal edges the first in (part starts, t1,
-    t2) order is kept. A part whose start is not below the next part's
-    start (empty in floating point, or crossed by round-off) holds no
-    piece. Each piece looks its left edge up among the starts of the
-    parts that hold one, which gives its part and so its source (the
-    part's parity), and then among that source's breakpoints, which gives
-    its angle; both lookups are `_interval_index`. An n above `MAX_CELLS`
-    raises ValueError before anything is built (`convergence_table` takes
-    any n).
+    takes t1's values and the remainder takes t2's. Each of the 2n cell
+    parts gives, in order, its source's breakpoints strictly inside it,
+    then its own end, each with that source's angle on its left, and
+    `StepLaminate.from_pieces` assembles them. So a source breakpoint
+    equal to a part edge gives way to the part edge, a part that is
+    empty or crossed by round-off holds nothing, and no two adjacent
+    pieces share an angle. An n above `MAX_CELLS` raises ValueError
+    before anything is built (`convergence_table` takes any n).
     """
     _check_alpha(alpha)
     _check_n(n, most=MAX_CELLS)
-    left = [-1.0 + (2.0 * i) / n for i in range(n)]
     step = 2.0 * alpha / n
-    starts = [1.0] * (2 * n + 1)  # part k starts at starts[k]; even k is t1's, odd k t2's
-    starts[0:-1:2] = left
-    starts[1:-1:2] = [x + step for x in left]
-    live = list(compress(range(2 * n), map(lt, starts, islice(starts, 1, None))))
-    edges = merge_close(sorted(starts + list(t1.breakpoints[1:-1] + t2.breakpoints[1:-1])))
-    lefts = edges[:-1]
-    parts = _interval_index(list(map(starts.__getitem__, live)), lefts)
-    angles = [t2.angles[j2] if live[part] % 2 else t1.angles[j1] for part, j1, j2 in
-              zip(parts, _interval_index(t1.breakpoints, lefts),
-                  _interval_index(t2.breakpoints, lefts))]
-    return StepLaminate(tuple(edges), tuple(angles))
+    rights, angles = [], []
+    for i in range(n):
+        left = -1.0 + (2.0 * i) / n
+        mid = left + step
+        for t, lo, hi in ((t1, left, mid), (t2, mid, -1.0 + (2.0 * (i + 1)) / n)):
+            bps = t.breakpoints
+            # plies first - 1 .. last - 1 of t meet (lo, hi); the search's
+            # upper bound keeps ply first - 1 in range for a part at 1.0
+            first = bisect_right(bps, lo, 1, len(bps) - 1)
+            last = bisect_left(bps, hi, first)
+            rights += bps[first:last]
+            rights.append(hi)
+            angles += t.angles[first - 1:last]
+    return StepLaminate.from_pieces(rights, angles)
 
 
 def bezout_solve(p: int, q: int) -> tuple[int, int]:
@@ -226,12 +225,10 @@ class WitnessTable(Record):
         frac(n*y) = alpha, which exist only when alpha*q is an integer.
         A float x has a large power-of-two q, so the cap usually leaves
         this empty.
-    angle1 / angle2: the two sources' values at x, None where undefined
-        (the default).
+    angle1 / angle2: the two sources' values at x, None where undefined.
     """
 
     __slots__ = ("x", "alpha", "below", "above", "undefined_at", "angle1", "angle2")
-    _defaults = {"angle1": None, "angle2": None}
     x: Number
     alpha: float
     below: tuple[tuple[int, Number], ...]

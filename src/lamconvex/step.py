@@ -91,11 +91,12 @@ class StepLaminate(Record):
         right edge must be exactly 1.
 
         A piece whose right edge is not above every earlier edge (and -1) is
-        dropped: it is empty, or its split points crossed in floating point
-        (a NaN edge raises). No other piece is dropped, however thin. Then
-        each run of adjacent pieces whose angles compare equal (`==`)
-        becomes one piece, with the run's first angle and last right edge;
-        no measure moves. The angles kept are the objects of `angles`.
+        dropped: it is empty, or its split points or part edges crossed in
+        floating point (a NaN edge raises). No other piece is dropped,
+        however thin. Then each run of adjacent pieces whose angles compare
+        equal (`==`) becomes one piece, with the run's first angle and last
+        right edge; no measure moves. The angles kept are the objects of
+        `angles`.
         """
         last_right = float(rights[-1]) if len(rights) else -1.0
         if last_right != 1.0:
@@ -146,11 +147,15 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     Breakpoints merge only when equal, so every breakpoint of either input
     is a refinement breakpoint, and each interval takes each input's angle
     at its left edge, exactly: the float objects of the inputs' angles.
+    Every input breakpoint below the last left edge is itself a left edge,
+    so an input's angle index is a running count of its breakpoints met
+    among the left edges, less one, with no search.
     """
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
     lefts = bps[:-1]
     return RefinedPair(tuple(bps), *(
-        tuple(map(t.angles.__getitem__, _interval_index(t.breakpoints, lefts)))
+        tuple(map(t.angles.__getitem__, islice(
+            accumulate(map(set(t.breakpoints).__contains__, lefts), initial=-1), 1, None)))
         for t in (t1, t2)))
 
 
@@ -159,15 +164,6 @@ def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     if type(values) is tuple and set(map(type, values)) <= {float}:
         return values
     return tuple(map(float, values))
-
-
-def _interval_index(edges: Sequence[float], points: Iterable[float]) -> list[int]:
-    """Index of the interval between sorted `edges` that holds each point;
-    a point on an edge belongs to the interval to its right. The points
-    must increase strictly and include every edge up to the last point,
-    as the left edges of a refinement of `edges` do; a point's index is
-    then the count of edges among the points up to it, less one."""
-    return list(islice(accumulate(map(set(edges).__contains__, points), initial=-1), 1, None))
 
 
 def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:

@@ -90,15 +90,26 @@ class TestMatchedSplit:
     def test_returns_floats_for_floats(self):
         assert {type(p) for p in matched_split(-0.25, 0.5, 0.3)} == {float}
 
-    def test_sequences_match_scalar_calls_bit_for_bit(self):
+    def test_combine_points_are_scalar_calls_bit_for_bit(self):
+        # t1's angles lie in (0, 1) and t2's in (2, 3), so every refinement
+        # interval is split and no piece drops or merges: the combination's
+        # breakpoints are matched_split(lo, hi, f) and hi over the refinement
         rng = random.Random(11)
-        lo = sorted(rng.uniform(-1.0, 1.0) for _ in range(200))
-        hi = [l + rng.uniform(1e-15, 1.0) for l in lo]
-        for fraction in (1e-16, 0.3, 0.5, 0.7, 1.0 - 1e-16):
-            columns = matched_split(lo, hi, fraction)
-            scalars = [matched_split(l, h, fraction) for l, h in zip(lo, hi)]
-            assert [[p.hex() for p in col] for col in columns] == \
-                [[p.hex() for p in col] for col in zip(*scalars)]
+
+        def laminate(angle_lo):
+            interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(100))
+            angles = [rng.uniform(angle_lo, angle_lo + 1.0) for _ in range(101)]
+            return StepLaminate((-1.0, *interior, 1.0), angles)
+
+        t1, t2 = laminate(0.0), laminate(2.0)
+        edges = refine(t1, t2).breakpoints
+        for alpha in (0.3, 0.7):
+            fraction = alpha if alpha < 0.5 else 1.0 - alpha
+            want = [-1.0]
+            for lo, hi in zip(edges, edges[1:]):
+                want += [*matched_split(lo, hi, fraction), hi]
+            got = convex_combine(t1, t2, alpha).breakpoints
+            assert [p.hex() for p in got] == [p.hex() for p in want]
 
     def test_rejects_bad_fraction(self):
         for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
@@ -115,12 +126,6 @@ class TestMatchedSplit:
                 matched_split(bad, 1.0, 0.3)
             with pytest.raises(DegenerateInterval):
                 matched_split(-1.0, bad, 0.3)
-
-    def test_rejects_degenerate_interval_in_array(self):
-        lo = [-1.0, 0.0, 0.25]
-        hi = [0.0, 0.5, 0.25]
-        with pytest.raises(DegenerateInterval, match=r"\(0\.25, 0\.25\)"):
-            matched_split(lo, hi, 0.3)
 
     @settings(max_examples=300)
     @given(
@@ -180,10 +185,11 @@ class TestConvexCombine:
         assert report.passed, (alpha, report.max_residual)
 
     def test_one_matched_split_call_per_combination(self, monkeypatch):
+        # one call on the unit interval gives the split coefficients
         calls = []
 
         def counted(lo, hi, fraction):
-            calls.append(len(lo))
+            calls.append((lo, hi, fraction))
             return matched_split(lo, hi, fraction)
 
         monkeypatch.setattr(convexity, "matched_split", counted)
@@ -191,10 +197,10 @@ class TestConvexCombine:
         pairs = [(random_laminate(rng), random_laminate(rng)) for _ in range(10)]
         t = pairs[0][0]
         for t1, t2 in pairs + [(t, t)]:
-            calls.clear()
-            convex_combine(t1, t2, 0.3)
-            assert len(calls) == 1
-        assert calls == [0]  # t against itself: nothing to split
+            for alpha, fraction in ((0.3, 0.3), (0.75, 0.25)):
+                calls.clear()
+                convex_combine(t1, t2, alpha)
+                assert calls == [(0.0, 1.0, fraction)]
 
     def test_output_angles_are_input_objects(self):
         rng = random.Random(6)

@@ -1,4 +1,3 @@
-import bisect
 import math
 import random
 import time
@@ -41,6 +40,10 @@ from _helpers import (
 
 T0 = StepLaminate((-1.0, 1.0), (0.0,))
 T90 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
+
+SOURCES = st.one_of(laminates(), close_laminates(), float_laminates())
+ALPHAS = st.one_of(st.floats(min_value=1e-3, max_value=0.999),
+                   st.sampled_from([1e-13, 0.5 - 1e-13, 0.5, 1.0 - 2.0**-53]))
 
 
 class TestInterleave:
@@ -93,13 +96,14 @@ class TestInterleave:
         assert peak < 1 << 16, f"peak {peak} bytes"
 
     def test_keeps_near_coincident_breakpoints(self):
-        # 0, 7.5e-13 and 1.5e-12 all stay: the two thin pieces of the
-        # second cell's first half take t1's angles
+        # 7.5e-13 and 1.5e-12 both stay: the two thin pieces of the second
+        # cell's first half take t1's angles; the cell edge at 0 goes, as
+        # t2's angle before it equals t1's after it
         t1 = StepLaminate((-1.0, 7.5e-13, 1.5e-12, 1.0), (0.0, 1.0, 0.5))
         t2 = StepLaminate((-1.0, 0.0, 1.0), (0.0, 1.0))
         t = interleave(t1, t2, 0.5, 2)
-        assert t.breakpoints == (-1.0, -0.5, 0.0, 7.5e-13, 1.5e-12, 0.5, 1.0)
-        assert t.angles == (0.0, 0.0, 0.0, 1.0, 0.5, 1.0)
+        assert t.breakpoints == (-1.0, 7.5e-13, 1.5e-12, 0.5, 1.0)
+        assert t.angles == (0.0, 1.0, 0.5, 1.0)
 
     def test_piece_one_float_step_wide_takes_its_own_angle(self):
         # the middle piece of t1 is one float step wide; its midpoint
@@ -124,21 +128,35 @@ class TestInterleave:
         assert second <= 5 * 2.0**-52
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(laminates(), close_laminates(), float_laminates()),
-           st.one_of(laminates(), close_laminates(), float_laminates()),
-           st.one_of(st.floats(min_value=1e-3, max_value=0.999),
-                     st.sampled_from([1e-13, 0.5 - 1e-13, 0.5, 1.0 - 2.0**-53])),
-           st.integers(min_value=1, max_value=64))
+    @given(SOURCES, SOURCES, ALPHAS, st.integers(min_value=1, max_value=64))
     def test_matches_loop_reference(self, t1, t2, alpha, n):
         want_bps, want_angles = loop_interleave(t1, t2, alpha, n)
         got = interleave(t1, t2, alpha, n)
         assert [b.hex() for b in got.breakpoints] == [b.hex() for b in want_bps]
         assert got.angles == want_angles
 
+    @settings(max_examples=150, deadline=None)
+    @given(SOURCES, SOURCES, ALPHAS, st.integers(min_value=1, max_value=64))
+    def test_no_adjacent_pieces_share_an_angle(self, t1, t2, alpha, n):
+        angles = interleave(t1, t2, alpha, n).angles
+        assert all(a != b for a, b in zip(angles, angles[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(SOURCES, ALPHAS, st.integers(min_value=1, max_value=64))
+    def test_a_laminate_with_itself_is_itself(self, t, alpha, n):
+        assert interleave(t, t, alpha, n) == StepLaminate.from_pieces(t.breakpoints[1:], t.angles)
+
+    def test_a_laminate_with_itself_merges_equal_neighbours(self):
+        t = StepLaminate((-1.0, -0.25, 0.1, 0.6, 1.0), (0.5, 0.5, -0.0, 0.0))
+        want = StepLaminate((-1.0, 0.1, 1.0), (0.5, -0.0))
+        assert StepLaminate.from_pieces(t.breakpoints[1:], t.angles) == want
+        for n in (1, 3, 64):
+            assert interleave(t, t, 0.3, n) == want
+
     @pytest.mark.parametrize("n", [8192, 2**17])
     def test_shared_zero_edge_keeps_the_cell_edge(self, n):
         # 0 is a cell edge (+0.0) and a breakpoint of both sources (-0.0);
-        # of equal edges the first in (part starts, t1, t2) order is kept
+        # a source breakpoint equal to a part edge gives way to it
         t1 = StepLaminate((-1.0, -0.0, 1.0), (0.1, 0.2))
         t2 = StepLaminate((-1.0, -0.0, 0.5, 1.0), (0.3, 0.4, 0.5))
         t = interleave(t1, t2, 0.3, n)
@@ -155,29 +173,40 @@ class TestInterleave:
 
 
 def loop_interleave(t1, t2, alpha, n):
-    """The per-piece loop reference of `interleave`: (breakpoints, angles).
+    """The per-part loop reference of `interleave`: (breakpoints, angles).
 
-    Part k of the interleaving starts at starts[k], t1's for even k and
-    t2's for odd k; a part whose start is not below the next part's start
-    starts nothing. Each piece takes the source of the last part started
-    at or before its left edge, and that source's angle at the left edge.
+    Part k of the interleaving runs from starts[k] to starts[k + 1], t1's
+    for even k and t2's for odd k. Each source ply is clipped to the part,
+    the part edge winning a tie, and kept if it has positive width; then
+    an edge not above the last kept edge is dropped, and neighbours of
+    equal angle merge.
     """
     starts = []
     for i in range(n):
         left = -1.0 + (2.0 * i) / n
         starts += [left, left + 2.0 * alpha / n]
-    parts = [(s, (t1, t2)[k % 2])
-             for k, (s, e) in enumerate(zip(starts, starts[1:] + [1.0])) if s < e]
-    raw = sorted(starts + [1.0] + list(t1.breakpoints[1:-1]) + list(t2.breakpoints[1:-1]))
-    edges = [raw[0]]
-    for v in raw[1:]:
-        if v > edges[-1]:
-            edges.append(v)
-    angles = []
-    for lo in edges[:-1]:
-        source = [t for s, t in parts if s <= lo][-1]
-        angles.append(source.angles[bisect.bisect_right(source.breakpoints, lo) - 1])
-    return tuple(edges), tuple(angles)
+    starts.append(1.0)
+    pieces = []
+    for k in range(2 * n):
+        lo, hi = starts[k], starts[k + 1]
+        t = (t1, t2)[k % 2]
+        for a, b, angle in zip(t.breakpoints, t.breakpoints[1:], t.angles):
+            left, right = max(lo, a), min(hi, b)
+            if left < right:
+                pieces.append((right, angle))
+    edges, angles = [-1.0], []
+    for right, angle in pieces:
+        if right > edges[-1]:
+            edges.append(right)
+            angles.append(angle)
+    merged_edges, merged_angles = [-1.0], []
+    for right, angle in zip(edges[1:], angles):
+        if merged_angles and angle == merged_angles[-1]:
+            merged_edges[-1] = right
+        else:
+            merged_edges.append(right)
+            merged_angles.append(angle)
+    return tuple(merged_edges), tuple(merged_angles)
 
 
 class TestInterleaveValue:

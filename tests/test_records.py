@@ -119,9 +119,11 @@ def test_construction_checks_its_fields():
         LamParams((0.0,) * 4, (0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
 
 
-def test_witness_table_angles_default_to_none():
-    table = WitnessTable(x=0.5, alpha=0.5, below=(), above=(), undefined_at=())
-    assert table.angle1 is None and table.angle2 is None
+def test_witness_table_takes_both_angles():
+    with pytest.raises(TypeError, match="missing field 'angle1'"):
+        WitnessTable(x=0.5, alpha=0.5, below=(), above=(), undefined_at=())
+    table = WitnessTable(x=0.5, alpha=0.5, below=(), above=(), undefined_at=(),
+                         angle1=None, angle2=0.25)
     assert table.distinct_values is None
 
 
