@@ -17,18 +17,22 @@ with
 L = hi - lo. The strict order 0 < b < c < c + w < 1 holds in exact
 arithmetic for every f in (0, 1).
 
-Applying the split interval-by-interval on a common refinement builds,
-for any mixing weight, a single step laminate whose twelve parameters are
-exactly the convex combination of the two inputs' parameters: E takes
-the input with the smaller weight, so f <= 1/2, and each interval whose
-angles differ becomes 4 pieces, [E, rest, E, rest]. The same construction
-matches integral f(theta(z)) z^j dz for arbitrary f, not just the trig
-family.
+Reflecting z -> lo + hi - z keeps the degree of a polynomial, so the
+mirror image of E, anchored at hi, matches the same moments.
+
+Applying the split once per region where both inputs' angles are
+constant builds, for any mixing weight, a single step laminate whose
+twelve parameters are exactly the convex combination of the two inputs'
+parameters: E takes the input with the smaller weight, so f <= 1/2, and
+each region whose angles differ becomes 4 pieces, [E, rest, E, rest],
+or the mirror [rest, E, rest, E] where that merges its first piece with
+the last piece before it. The same construction matches
+integral f(theta(z)) z^j dz for arbitrary f, not just the trig family.
 """
 
 import math
 from itertools import compress
-from operator import ne, sub
+from operator import ne, or_
 
 from ._record import Record
 from .errors import AlphaOutOfRange, DegenerateInterval
@@ -75,17 +79,22 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     """Build a step laminate whose parameters equal
     (1 - alpha) * params(t1) + alpha * params(t2), componentwise.
 
-    On each interval of the common refinement where the two angles are
-    equal a single piece with t1's angle is emitted. Otherwise the
-    interval is split into 4 pieces, [E, rest, E, rest], with the matched
-    set E on the small side: fraction alpha carrying t2's angle when
-    alpha < 1/2, else fraction 1 - alpha (exact) carrying t1's. One
+    The common refinement's intervals are joined into regions: each
+    maximal run of intervals on which neither input's angle changes. A
+    region whose two angles are equal is one piece with t1's angle. Any
+    other region is split once, into 4 pieces, with the matched set E on
+    the small side: fraction alpha carrying t2's angle when alpha < 1/2,
+    else fraction 1 - alpha (exact) carrying t1's. E is anchored at the
+    region's left end, [E, rest, E, rest], unless the last piece emitted
+    before it carries rest's angle; then the mirror [rest, E, rest, E],
+    anchored at the right end, merges with that piece. One
     `matched_split` call on the unit interval gives the three split
-    coefficients, and each interval's points take the float operations
-    of a `matched_split` call on it. `from_pieces` then drops the pieces
-    whose split points coincided or crossed in floating point, and merges
-    neighbours of equal angle. The angles are the input angle objects
-    themselves.
+    coefficients. A region's points take the float operations of
+    `matched_split(lo, hi, f)`, or for the mirror those of
+    `matched_split(-hi, -lo, f)` negated and reversed. `from_pieces`
+    then drops the pieces whose split points coincided or crossed in
+    floating point, and merges neighbours of equal angle. The angles are
+    the input angle objects themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
@@ -103,31 +112,35 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
 def _pieces(t1: StepLaminate, t2: StepLaminate,
             alpha: float) -> tuple[list[float], list[float]]:
     """The right edges and angles of `convex_combine`'s pieces, for
-    0 < alpha < 1. The refinement and the split points are locals here,
-    so they are freed before `from_pieces` builds the result."""
+    0 < alpha < 1. The refinement is freed once its regions are taken,
+    before the pieces grow."""
     rp = refine(t1, t2)
-    edges = rp.breakpoints
-    differ = list(map(ne, rp.angles1, rp.angles2))
-    fraction, matched, rest = ((alpha, rp.angles2, rp.angles1) if alpha < 0.5
-                               else (1.0 - alpha, rp.angles1, rp.angles2))
-    los = list(compress(edges, differ))
-    lengths = list(map(sub, compress(edges[1:], differ), los))
-    # the float operations of one matched_split(lo, hi, fraction) call per
-    # interval, with its coefficients taken once from the unit interval;
-    # the columns' inputs are freed before the pieces grow
-    splits = zip(*([lo + k * length for lo, length in zip(los, lengths)]
-                   for k in matched_split(0.0, 1.0, fraction)))
-    del los, lengths
-    # 4 pieces per interval whose angles differ; one piece with t1's angle
-    # for the whole of any other interval
-    rights, angles = [], []
-    for hi, split, e, r, a1 in zip(edges[1:], differ, matched, rest, rp.angles1):
-        if split:
-            rights += (*next(splits), hi)
-            angles += (e, r, e, r)
-        else:
+    a1, a2 = rp.angles1, rp.angles2
+    # a refinement edge stays where either input's angle changes, so each
+    # region of one angle pair is split once, as a whole
+    keep = [True, *map(or_, map(ne, a1[1:], a1), map(ne, a2[1:], a2))]
+    edges = [*compress(rp.breakpoints, keep), 1.0]
+    a1, a2 = list(compress(a1, keep)), list(compress(a2, keep))
+    del rp, keep
+    fraction, matched, rest = (alpha, a2, a1) if alpha < 0.5 else (1.0 - alpha, a1, a2)
+    b, c, d = matched_split(0.0, 1.0, fraction)
+    # the mirror [rest, E, rest, E], anchored at hi, where its first piece
+    # merges with the last one emitted
+    rights, angles, prev = [], [], None
+    for lo, hi, e, r, a in zip(edges, edges[1:], matched, rest, a1):
+        length = hi - lo
+        if e == r:
             rights.append(hi)
-            angles.append(a1)
+            angles.append(a)
+            prev = a
+        elif r == prev:
+            rights += (hi - d * length, hi - c * length, hi - b * length, hi)
+            angles += (r, e, r, e)
+            prev = e
+        else:
+            rights += (lo + b * length, lo + c * length, lo + d * length, hi)
+            angles += (e, r, e, r)
+            prev = r
     return rights, angles
 
 

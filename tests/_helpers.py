@@ -182,14 +182,20 @@ def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:
 
 
 def combine_reference(t1, t2, alpha):
-    """convex_combine as one scalar loop over the refinement intervals.
+    """convex_combine as one scalar loop over the regions where both
+    inputs' angles are constant.
 
-    Each interval whose angles differ gets its own matched split, by the
-    package's formula written out with no ordering check, and emits four
-    (right, angle) pieces, [E, rest, E, rest], with the input of the
-    smaller weight on the matched set E. A piece is kept when its right
-    edge lies above the last kept edge; a kept piece whose angle equals
-    (`==`) the last kept angle extends that piece instead.
+    Neighbouring refinement intervals whose angle pairs compare equal
+    (`==`) join into one region, which keeps the first interval's angles.
+    A region whose angles agree is one piece with t1's angle. Any other
+    region gets one matched split, by the package's formula written out
+    with no ordering check, with the input of the smaller weight on the
+    matched set E: four (right, angle) pieces [E, rest, E, rest] with E
+    anchored at the region's left end or, when the last piece emitted so
+    far has rest's angle, the mirror [rest, E, rest, E] with E anchored
+    at its right end. A piece is kept when its right edge lies above the
+    last kept edge; a kept piece whose angle equals (`==`) the last kept
+    angle extends that piece instead.
     """
     if alpha == 0.0 or 1.0 - alpha == 1.0:
         return t1
@@ -203,16 +209,26 @@ def combine_reference(t1, t2, alpha):
         w = (8.0 * f - 4.0 + root) / 12.0
     c = (2.0 - f) / 3.0
     rp = refine(t1, t2)
-    pieces = []
+    regions = []  # [lo, hi, t1's angle, t2's angle]
     for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
                                   rp.angles1, rp.angles2):
+        if regions and regions[-1][2] == ang1 and regions[-1][3] == ang2:
+            regions[-1][1] = hi
+        else:
+            regions.append([lo, hi, ang1, ang2])
+    pieces = []
+    for lo, hi, ang1, ang2 in regions:
         if ang1 == ang2:
             pieces.append((hi, ang1))
             continue
         e, rest = (ang2, ang1) if alpha < 0.5 else (ang1, ang2)
         length = hi - lo
-        pieces += [(lo + (f - w) * length, e), (lo + c * length, rest),
-                   (lo + (c + w) * length, e), (hi, rest)]
+        if pieces and pieces[-1][1] == rest:
+            pieces += [(hi - (c + w) * length, rest), (hi - c * length, e),
+                       (hi - (f - w) * length, rest), (hi, e)]
+        else:
+            pieces += [(lo + (f - w) * length, e), (lo + c * length, rest),
+                       (lo + (c + w) * length, e), (hi, rest)]
     edges, angles = [-1.0], []
     for right, angle in pieces:
         if right > edges[-1]:

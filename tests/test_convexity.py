@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import add, ne
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
@@ -92,8 +92,12 @@ class TestMatchedSplit:
 
     def test_combine_points_are_scalar_calls_bit_for_bit(self):
         # t1's angles lie in (0, 1) and t2's in (2, 3), so every refinement
-        # interval is split and no piece drops or merges: the combination's
-        # breakpoints are matched_split(lo, hi, f) and hi over the refinement
+        # interval is a region of its own, is split, and no piece drops:
+        # the combination's breakpoints are matched_split(lo, hi, f) and hi
+        # over the refinement, or, where the last piece so far carries
+        # rest's angle, the mirror: matched_split(-hi, -lo, f) negated and
+        # reversed, and hi; lo is gone where the region's first piece
+        # merges with the last one before it
         rng = random.Random(11)
 
         def laminate(angle_lo):
@@ -102,12 +106,23 @@ class TestMatchedSplit:
             return StepLaminate((-1.0, *interior, 1.0), angles)
 
         t1, t2 = laminate(0.0), laminate(2.0)
-        edges = refine(t1, t2).breakpoints
+        rp = refine(t1, t2)
+        edges = rp.breakpoints
         for alpha in (0.3, 0.7):
-            fraction = alpha if alpha < 0.5 else 1.0 - alpha
-            want = [-1.0]
-            for lo, hi in zip(edges, edges[1:]):
-                want += [*matched_split(lo, hi, fraction), hi]
+            fraction, matched, rest = ((alpha, rp.angles2, rp.angles1) if alpha < 0.5
+                                       else (1.0 - alpha, rp.angles1, rp.angles2))
+            want, prev, mirrored = [-1.0], None, 0
+            for lo, hi, e, r in zip(edges, edges[1:], matched, rest):
+                if prev in (e, r):
+                    assert want.pop() == lo
+                if r == prev:
+                    want += [-p for p in reversed(matched_split(-hi, -lo, fraction))]
+                    prev, mirrored = e, mirrored + 1
+                else:
+                    want += matched_split(lo, hi, fraction)
+                    prev = r
+                want.append(hi)
+            assert 0 < mirrored < len(rest)
             got = convex_combine(t1, t2, alpha).breakpoints
             assert [p.hex() for p in got] == [p.hex() for p in want]
 
@@ -170,7 +185,7 @@ class TestConvexCombine:
     @given(st.one_of(laminates(), close_laminates(), float_laminates()),
            st.one_of(laminates(), close_laminates(), float_laminates()),
            EXTREME_ALPHAS)
-    def test_matches_per_interval_reference(self, t1, t2, alpha):
+    def test_matches_per_region_reference(self, t1, t2, alpha):
         # never raises on valid input, and equals the scalar loop bit for bit
         got = convex_combine(t1, t2, alpha)
         want = combine_reference(t1, t2, alpha)
@@ -261,9 +276,11 @@ class TestConvexCombine:
         # refinement (-1,0,.5,1): the first interval agrees (1 piece), the
         # other two differ (4 pieces each, t2 on the matched set); the
         # second interval's first piece has t2's angle 0 and merges with
-        # the first interval's piece
-        assert out.ply_count == 8
-        assert out.angles == (0.0, 0.5, 0.0, 0.5, 1.0, 0.5, 1.0, 0.5)
+        # the first interval's piece; the third interval's rest (t1's 0.5)
+        # is the last angle emitted, so it is split mirrored and its first
+        # piece merges too
+        assert out.ply_count == 7
+        assert out.angles == (0.0, 0.5, 0.0, 0.5, 1.0, 0.5, 1.0)
 
     def test_piece_count_bound(self):
         # ply-table angles repeat, so equal neighbours occur and must merge
@@ -271,11 +288,46 @@ class TestConvexCombine:
         pairs = [(random_laminate(rng), random_laminate(rng)) for _ in range(20)]
         pairs += [(ply_laminate(rng, 12), ply_laminate(rng, 15)) for _ in range(20)]
         for t1, t2 in pairs:
-            intervals = len(refine(t1, t2).angles1)
+            rp = refine(t1, t2)
+            angle_pairs = list(zip(rp.angles1, rp.angles2))
+            runs = 1 + sum(map(ne, angle_pairs[1:], angle_pairs))
             for alpha in ALPHAS:
                 out = convex_combine(t1, t2, alpha)
-                assert out.ply_count <= 4 * intervals
+                assert out.ply_count <= 4 * runs
                 assert all(map(ne, out.angles, out.angles[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(laminates(), close_laminates(), float_laminates()),
+           st.one_of(laminates(), close_laminates(), float_laminates()),
+           EXTREME_ALPHAS)
+    def test_equal_angle_neighbours_do_not_change_the_result(self, t1, t2, alpha):
+        assume(1.0 - alpha != 1.0)  # else convex_combine returns t1 as it is
+        # each region of one angle pair is split as a whole, so breakpoints
+        # between equal angles change nothing; an angle may differ only in
+        # the sign of a zero, hence `==` on the angles
+        merged = [StepLaminate.from_pieces(t.breakpoints[1:], t.angles) for t in (t1, t2)]
+        got = convex_combine(t1, t2, alpha)
+        want = convex_combine(*merged, alpha)
+        assert list(map(float.hex, got.breakpoints)) == list(map(float.hex, want.breakpoints))
+        assert got.angles == want.angles
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(laminates(), close_laminates(), float_laminates()),
+           st.one_of(laminates(), close_laminates(), float_laminates()),
+           EXTREME_ALPHAS)
+    def test_never_more_plies_than_the_left_anchored_layout(self, t1, t2, alpha):
+        assume(1.0 - alpha != 1.0)  # else convex_combine returns t1 as it is
+        # the layout with every refinement interval split alone as
+        # [E, rest, E, rest], counted from the angle sequence: dropping a
+        # piece never adds a ply, so that count bounds its output
+        rp = refine(t1, t2)
+        e_angles, r_angles = ((rp.angles2, rp.angles1) if alpha < 0.5
+                              else (rp.angles1, rp.angles2))
+        old = []
+        for a1, e, r in zip(rp.angles1, e_angles, r_angles):
+            old += [a1] if e == r else [e, r, e, r]
+        old_plies = 1 + sum(map(ne, old[1:], old))
+        assert convex_combine(t1, t2, alpha).ply_count <= old_plies
 
     def test_rejects_alpha_outside_unit_interval(self):
         t = StepLaminate((-1.0, 1.0), (0.0,))
