@@ -20,19 +20,20 @@ arithmetic for every f in (0, 1).
 Reflecting z -> lo + hi - z keeps the degree of a polynomial, so the
 mirror image of E, anchored at hi, matches the same moments.
 
-Applying the split once per region where both inputs' angles are
-constant builds, for any mixing weight, a single step laminate whose
-twelve parameters are exactly the convex combination of the two inputs'
-parameters: E takes the input with the smaller weight, so f <= 1/2, and
-each region whose angles differ becomes 4 pieces, [E, rest, E, rest],
-or the mirror [rest, E, rest, E] where that merges its first piece with
-the last piece before it. The same construction matches
-integral f(theta(z)) z^j dz for arbitrary f, not just the trig family.
+Applying the split once per region builds, for any mixing weight, a
+single step laminate whose twelve parameters are exactly the convex
+combination of the two inputs' parameters. The regions are the
+intervals of the common refinement of the inputs' runs, each run a
+maximal stretch of plies of one angle: the largest intervals on which
+both angles are constant. E takes the input with the smaller weight, so
+f <= 1/2, and each region whose angles differ becomes 4 pieces,
+[E, rest, E, rest], or the mirror [rest, E, rest, E] where that merges
+its first piece with the last piece before it. The same construction
+matches integral f(theta(z)) z^j dz for arbitrary f, not just the trig
+family.
 """
 
 import math
-from itertools import compress
-from operator import ne, or_
 
 from ._record import Record
 from .errors import AlphaOutOfRange, DegenerateInterval
@@ -57,10 +58,11 @@ def matched_split(lo: float, hi: float, fraction: float) -> tuple[float, float, 
     each other or an end.
 
     Raises:
-        DegenerateInterval: if lo >= hi or an endpoint is not finite.
+        DegenerateInterval: if lo >= hi, or hi - lo is not finite (an
+            endpoint is not, or the span overflows).
         AlphaOutOfRange: if fraction is not strictly inside (0, 1).
     """
-    if not -math.inf < lo < hi < math.inf:
+    if not 0.0 < hi - lo < math.inf:
         raise DegenerateInterval(f"cannot split interval ({lo}, {hi})")
     if not 0.0 < fraction < 1.0:
         raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
@@ -79,22 +81,23 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     """Build a step laminate whose parameters equal
     (1 - alpha) * params(t1) + alpha * params(t2), componentwise.
 
-    The common refinement's intervals are joined into regions: each
-    maximal run of intervals on which neither input's angle changes. A
-    region whose two angles are equal is one piece with t1's angle. Any
-    other region is split once, into 4 pieces, with the matched set E on
-    the small side: fraction alpha carrying t2's angle when alpha < 1/2,
-    else fraction 1 - alpha (exact) carrying t1's. E is anchored at the
-    region's left end, [E, rest, E, rest], unless the last piece emitted
-    before it carries rest's angle; then the mirror [rest, E, rest, E],
-    anchored at the right end, merges with that piece. One
-    `matched_split` call on the unit interval gives the three split
-    coefficients. A region's points take the float operations of
+    The regions are the intervals of the common refinement of the inputs'
+    runs, each input with its equal-angle neighbours merged by
+    `from_pieces`: the maximal intervals on which neither input's angle
+    changes. A region whose two angles are equal is one piece with t1's
+    angle. Any other region is split once, into 4 pieces, with the matched
+    set E on the small side: fraction alpha carrying t2's angle when
+    alpha < 1/2, else fraction 1 - alpha (exact) carrying t1's. E is
+    anchored at the region's left end, [E, rest, E, rest], unless the
+    last piece emitted before it carries rest's angle; then the mirror
+    [rest, E, rest, E], anchored at the right end, merges with that
+    piece. One `matched_split` call on the unit interval gives the three
+    split coefficients. A region's points take the float operations of
     `matched_split(lo, hi, f)`, or for the mirror those of
-    `matched_split(-hi, -lo, f)` negated and reversed. `from_pieces`
-    then drops the pieces whose split points coincided or crossed in
-    floating point, and merges neighbours of equal angle. The angles are
-    the input angle objects themselves.
+    `matched_split(-hi, -lo, f)` negated and reversed. `from_pieces` then
+    drops the pieces whose split points coincided or crossed in floating
+    point, and merges neighbours of equal angle. The angles are the input
+    angle objects themselves.
 
     Raises:
         AlphaOutOfRange: if alpha is outside [0, 1].
@@ -112,16 +115,10 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
 def _pieces(t1: StepLaminate, t2: StepLaminate,
             alpha: float) -> tuple[list[float], list[float]]:
     """The right edges and angles of `convex_combine`'s pieces, for
-    0 < alpha < 1. The refinement is freed once its regions are taken,
-    before the pieces grow."""
-    rp = refine(t1, t2)
-    a1, a2 = rp.angles1, rp.angles2
-    # a refinement edge stays where either input's angle changes, so each
-    # region of one angle pair is split once, as a whole
-    keep = [True, *map(or_, map(ne, a1[1:], a1), map(ne, a2[1:], a2))]
-    edges = [*compress(rp.breakpoints, keep), 1.0]
-    a1, a2 = list(compress(a1, keep)), list(compress(a2, keep))
-    del rp, keep
+    0 < alpha < 1. Each input reaches `refine` as its runs, so every
+    refinement edge is an edge where an angle changes."""
+    rp = refine(*(StepLaminate.from_pieces(t.breakpoints[1:], t.angles) for t in (t1, t2)))
+    edges, a1, a2 = rp.breakpoints, rp.angles1, rp.angles2
     fraction, matched, rest = (alpha, a2, a1) if alpha < 0.5 else (1.0 - alpha, a1, a2)
     b, c, d = matched_split(0.0, 1.0, fraction)
     # the mirror [rest, E, rest, E], anchored at hi, where its first piece

@@ -170,7 +170,8 @@ def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:
     """Affinely map an increasing coordinate sequence onto [-1, 1].
 
     The endpoints map exactly to -1.0 and 1.0; interior points map to
-    2*(z - z_min)/(z_max - z_min) - 1.
+    (z - z_min)/(z_max - z_min) * 2 - 1. Where z_max - z_min overflows,
+    every difference is taken of the halved coordinates.
 
     Raises:
         DegenerateInterval: if the span is empty (first >= last).
@@ -181,14 +182,15 @@ def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:
     lo, hi = float(raw[0]), float(raw[-1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DegenerateInterval(f"cannot normalize span ({lo}, {hi})")
-    for i in range(len(raw) - 1):
-        if not raw[i] < raw[i + 1]:
-            raise InvariantViolation(
-                f"coordinates not strictly increasing at index {i + 1}",
-                field="breakpoints", index=i + 1)
-    span = hi - lo
+    if not all(map(lt, raw, islice(raw, 1, None))):
+        i = list(map(lt, raw, islice(raw, 1, None))).index(False)
+        raise InvariantViolation(
+            f"coordinates not strictly increasing at index {i + 1}",
+            field="breakpoints", index=i + 1)
+    scale = 1.0 if hi - lo < math.inf else 0.5
+    lo *= scale
+    span = hi * scale - lo
     mapped = [-1.0]
-    mapped.extend(2.0 * (float(z) - lo) / span - 1.0 for z in raw[1:-1])
+    mapped.extend((float(z) * scale - lo) / span * 2.0 - 1.0 for z in raw[1:-1])
     mapped.append(1.0)
     return tuple(mapped)
-

@@ -185,9 +185,10 @@ def combine_reference(t1, t2, alpha):
     """convex_combine as one scalar loop over the regions where both
     inputs' angles are constant.
 
-    Neighbouring refinement intervals whose angle pairs compare equal
-    (`==`) join into one region, which keeps the first interval's angles.
-    A region whose angles agree is one piece with t1's angle. Any other
+    Each input's angle on a ply is the first angle of the ply's run of
+    angles that compare equal (`==`), so a run mixing 0.0 and -0.0 has
+    its first zero throughout. Neighbouring refinement intervals whose
+    angle pairs compare equal join into one region. A region whose angles agree is one piece with t1's angle. Any other
     region gets one matched split, by the package's formula written out
     with no ordering check, with the input of the smaller weight on the
     matched set E: four (right, angle) pieces [E, rest, E, rest] with E
@@ -208,7 +209,13 @@ def combine_reference(t1, t2, alpha):
     else:
         w = (8.0 * f - 4.0 + root) / 12.0
     c = (2.0 - f) / 3.0
-    rp = refine(t1, t2)
+    run_firsts = []
+    for t in (t1, t2):
+        angles = []
+        for a in t.angles:
+            angles.append(angles[-1] if angles and angles[-1] == a else a)
+        run_firsts.append(StepLaminate(t.breakpoints, tuple(angles)))
+    rp = refine(*run_firsts)
     regions = []  # [lo, hi, t1's angle, t2's angle]
     for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
                                   rp.angles1, rp.angles2):

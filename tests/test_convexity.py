@@ -142,6 +142,13 @@ class TestMatchedSplit:
             with pytest.raises(DegenerateInterval):
                 matched_split(-1.0, bad, 0.3)
 
+    def test_rejects_an_overflowing_span(self):
+        # both ends are finite, but hi - lo is not
+        with pytest.raises(DegenerateInterval):
+            matched_split(-1e308, 1e308, 0.3)
+        b, c, d = matched_split(-8e307, 8e307, 0.3)
+        assert -8e307 < b < c < d < 8e307
+
     @settings(max_examples=300)
     @given(
         st.integers(min_value=-999, max_value=999),
@@ -216,6 +223,31 @@ class TestConvexCombine:
                 calls.clear()
                 convex_combine(t1, t2, alpha)
                 assert calls == [(0.0, 1.0, fraction)]
+
+    def test_refines_the_inputs_runs(self, monkeypatch):
+        # each input reaches refine with its equal-angle neighbours merged:
+        # its breakpoints are the input's run edges, where the angle changes
+        seen = []
+
+        def spied(t1, t2):
+            seen.extend((t1, t2))
+            return refine(t1, t2)
+
+        monkeypatch.setattr(convexity, "refine", spied)
+        rng = random.Random(12)
+        pairs = [(ply_laminate(rng, 12), ply_laminate(rng, 15)) for _ in range(20)]
+        pairs.append((StepLaminate((-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, -0.0, 1.0, 1.0)),
+                      StepLaminate((-1.0, 0.25, 0.75, 1.0), (2.0, 2.0, 2.0))))
+        for t1, t2 in pairs:
+            for alpha in (0.3, 0.75):
+                seen.clear()
+                convex_combine(t1, t2, alpha)
+                assert len(seen) == 2
+                for t, runs in zip((t1, t2), seen):
+                    bps, angles = t.breakpoints, t.angles
+                    edges = [b for b, l, r in zip(bps[1:-1], angles, angles[1:]) if l != r]
+                    assert runs.breakpoints == (-1.0, *edges, 1.0)
+                    assert all(map(ne, runs.angles, runs.angles[1:]))
 
     def test_output_angles_are_input_objects(self):
         rng = random.Random(6)

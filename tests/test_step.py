@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import add
 
@@ -436,8 +437,22 @@ class TestNormalize:
             normalize_breakpoints((2.0, 2.0))
 
     def test_rejects_unsorted(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as info:
             normalize_breakpoints((0.0, 3.0, 1.0, 4.0))
+        assert info.value.index == 2
+
+    @pytest.mark.parametrize("raw,middle", [
+        ((-1e308, 0.0, 1e308), 0.0),
+        ((-1.5e308, 0.0, 5e307), 0.5),
+        ((-sys.float_info.max, 0.0, sys.float_info.max), 0.0),
+        ((-1e308, 5e307, 6e307), 0.875),
+    ])
+    def test_maps_a_span_beyond_the_float_range(self, raw, middle):
+        # hi - lo, or in the last case twice z - lo, overflows though
+        # every coordinate is finite
+        got = normalize_breakpoints(raw)
+        assert got[0] == -1.0 and got[2] == 1.0
+        assert got[1] == pytest.approx(middle, abs=1e-15)
 
     @given(laminates())
     def test_maps_endpoints_exactly(self, t):
