@@ -24,6 +24,7 @@ from .errors import InvariantViolation, LamConvexError, ParseError
 from .fileio import load_laminate, save_laminate
 from .interleaving import (
     DEFAULT_SEARCH_CAP,
+    _edge_rounding_bound,
     convergence_table,
     interleave,
     oscillation_witness,
@@ -37,48 +38,16 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class Report:
-    """One subcommand's result: its inputs, payload and verdicts."""
-
-    def __init__(self, operation: str, inputs: dict, payload: dict):
-        self.operation = operation
-        self.inputs = inputs
-        self.payload = payload
-        self.verdicts = []
-
-    def add_verdict(self, name: str, value: float, tolerance: float, passed: bool):
-        self.verdicts.append({
-            "name": name,
-            "value": value,
-            "tolerance": tolerance,
-            "passed": bool(passed),
-        })
-
-    @property
-    def passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
-    def to_json(self) -> str:
-        doc = {
-            "operation": self.operation,
-            "inputs": self.inputs,
-            "payload": self.payload,
-            "verdicts": self.verdicts,
-            "passed": self.passed,
-        }
+def _render(doc: dict, as_json: bool) -> str:
+    if as_json:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-    def to_text(self) -> str:
-        lines = [f"operation: {self.operation}"]
-        for key, value in self.inputs.items():
-            lines.append(f"  {key}: {value}")
-        lines.extend(_payload_lines(self.payload, indent="  "))
-        for v in self.verdicts:
-            state = "PASS" if v["passed"] else "FAIL"
-            lines.append(
-                f"verdict {v['name']}: {state} (value={v['value']:.6e}, "
-                f"tolerance={v['tolerance']:.6e})")
-        return "\n".join(lines) + "\n"
+    lines = [f"operation: {doc['operation']}"]
+    lines += [f"  {key}: {value}" for key, value in doc["inputs"].items()]
+    lines += _payload_lines(doc["payload"], indent="  ")
+    for v in doc["verdicts"]:
+        lines.append(f"verdict {v['name']}: {'PASS' if v['passed'] else 'FAIL'} "
+                     f"(value={v['value']:.6e}, tolerance={v['tolerance']:.6e})")
+    return "\n".join(lines) + "\n"
 
 
 def _payload_lines(obj, indent: str) -> list[str]:
@@ -150,82 +119,70 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def cmd_params(args) -> Report:
+# Each cmd_* returns (inputs, payload, verdicts), a verdict being
+# (name, value, tolerance); `main` builds the report document from them.
+
+def cmd_params(args) -> tuple[dict, dict, list]:
     t = load_laminate(args.file, normalize=args.normalize)
     params = lamination_parameters(t)
-    report = Report(
-        operation="params",
-        inputs={"file": str(args.file), "normalize": args.normalize},
-        payload={"ply_count": t.ply_count, "parameters": params.as_dict()},
-    )
     worst = max(abs(v) for v in params.flat())
-    report.add_verdict("parameter_bounds", worst, 1.0 + args.tolerance,
-                       worst <= 1.0 + args.tolerance)
-    return report
+    return ({"file": str(args.file), "normalize": args.normalize},
+            {"ply_count": t.ply_count, "parameters": params.as_dict()},
+            [("parameter_bounds", worst, 1.0 + args.tolerance)])
 
 
-def cmd_combine(args) -> Report:
+def cmd_combine(args) -> tuple[dict, dict, list]:
     t1 = load_laminate(args.file1, normalize=args.normalize)
     t2 = load_laminate(args.file2, normalize=args.normalize)
     result = convex_combine(t1, t2, args.alpha)
     check = verify_combination(t1, t2, args.alpha, result, tolerance=args.tolerance)
     if args.out:
         save_laminate(result, args.out, name=f"combine(alpha={args.alpha})")
-    report = Report(
-        operation="combine",
-        inputs={
-            "file1": str(args.file1),
-            "file2": str(args.file2),
-            "alpha": args.alpha,
-            "out": str(args.out) if args.out else None,
-        },
-        payload={
-            "ply_count": result.ply_count,
-            "parameters": check.actual.as_dict(),
-            "expected": check.expected.as_dict(),
-            "residuals": list(check.residuals),
-            "max_residual": check.max_residual,
-        },
-    )
-    report.add_verdict("combination_residual", check.max_residual,
-                       check.tolerance, check.passed)
-    return report
+    inputs = {
+        "file1": str(args.file1),
+        "file2": str(args.file2),
+        "alpha": args.alpha,
+        "out": str(args.out) if args.out else None,
+    }
+    payload = {
+        "ply_count": result.ply_count,
+        "parameters": check.actual.as_dict(),
+        "expected": check.expected.as_dict(),
+        "residuals": list(check.residuals),
+        "max_residual": check.max_residual,
+    }
+    return inputs, payload, [("combination_residual", check.max_residual, check.tolerance)]
 
 
-def cmd_gsequence(args) -> Report:
+def cmd_gsequence(args) -> tuple[dict, dict, list]:
+    """The closed-form table, and a verdict that builds the laminate of
+    the smallest n and checks its kernel parameters against that row. The
+    verdict's tolerance is --tolerance, for the round-off of the kernel
+    and of the row, plus the bound `_edge_rounding_bound` on what the
+    rounding of the built laminate's part edges moves a parameter."""
     t1 = load_laminate(args.file1, normalize=args.normalize)
     t2 = load_laminate(args.file2, normalize=args.normalize)
     rows = convergence_table(t1, t2, args.alpha, args.n, swap_limit=args.swap_limit)
-    payload_rows = [
-        {
-            "n": row.n,
-            "residual_a": row.residual_a,
-            "residual_b": row.residual_b,
-            "residual_d": row.residual_d,
-            "residual_max": row.residual_max,
-        }
-        for row in rows
-    ]
-    # The table is closed form; build the laminate of the smallest n and
-    # check its kernel parameters against that row.
     n0 = min(args.n)
     built = interleave(t1, t2, args.alpha, n0)
     closed = next(row.params for row in rows if row.n == n0)
     gap = max(abs(b - c) for b, c in
               zip(lamination_parameters(built).flat(), closed.flat()))
-    report = Report(
-        operation="gsequence",
-        inputs={
-            "file1": str(args.file1),
-            "file2": str(args.file2),
-            "alpha": args.alpha,
-            "n": list(args.n),
-            "swap_limit": args.swap_limit,
-        },
-        payload={"rows": payload_rows, "built": {"n": n0, "pieces": built.ply_count}},
-    )
-    report.add_verdict("interleave_residual", gap, args.tolerance, gap <= args.tolerance)
-    return report
+    inputs = {
+        "file1": str(args.file1),
+        "file2": str(args.file2),
+        "alpha": args.alpha,
+        "n": list(args.n),
+        "swap_limit": args.swap_limit,
+    }
+    payload = {
+        "rows": [{"n": row.n, "residual_a": row.residual_a, "residual_b": row.residual_b,
+                  "residual_d": row.residual_d, "residual_max": row.residual_max}
+                 for row in rows],
+        "built": {"n": n0, "pieces": built.ply_count},
+    }
+    return inputs, payload, [("interleave_residual", gap,
+                              args.tolerance + _edge_rounding_bound(n0))]
 
 
 # Demonstration pair used when oscillate is not given explicit laminates:
@@ -234,7 +191,7 @@ _OSC_T1 = StepLaminate((-1.0, 1.0), (0.0,))
 _OSC_T2 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
 
 
-def cmd_oscillate(args) -> Report:
+def cmd_oscillate(args) -> tuple[dict, dict, list]:
     table = oscillation_witness(_OSC_T1, _OSC_T2, args.alpha, args.x,
                                 args.count, cap=args.cap)
     # exact fractions print as 'p/q' for a rational --x, as numbers for a float
@@ -250,16 +207,13 @@ def cmd_oscillate(args) -> Report:
     }
     if table.distinct_values is False:
         payload["note"] = "sources agree at x; oscillation is vacuous here"
-    return Report(
-        operation="oscillate",
-        inputs={
-            "x": str(args.x) if isinstance(args.x, Fraction) else args.x,
-            "alpha": args.alpha,
-            "count": args.count,
-            "cap": args.cap,
-        },
-        payload=payload,
-    )
+    inputs = {
+        "x": str(args.x) if isinstance(args.x, Fraction) else args.x,
+        "alpha": args.alpha,
+        "count": args.count,
+        "cap": args.cap,
+    }
+    return inputs, payload, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,18 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, verdict: bool, files: bool):
+    def add_common(p, files: bool):
+        # the subcommands that read laminate files are those with verdicts
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if verdict:
+        if files:
             p.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOLERANCE,
                            help="verdict tolerance (default %(default)g)")
-        if files:
             p.add_argument("--normalize", action="store_true",
                            help="affinely map file breakpoints onto [-1, 1]")
 
     p = sub.add_parser("params", help="lamination parameters of a laminate file")
     p.add_argument("file")
-    add_common(p, verdict=True, files=True)
+    add_common(p, files=True)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("combine", help="convex combination of two laminates")
@@ -291,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True,
                    help="weight on the second laminate, in [0, 1]")
     p.add_argument("--out", help="write the constructed laminate here")
-    add_common(p, verdict=True, files=True)
+    add_common(p, files=True)
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("gsequence", help="interleaving-sequence convergence table")
@@ -303,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cell counts, e.g. 16,32,64")
     p.add_argument("--swap-limit", action="store_true",
                    help="compare against the opposite limit orientation")
-    add_common(p, verdict=True, files=True)
+    add_common(p, files=True)
     p.set_defaults(func=cmd_gsequence)
 
     p = sub.add_parser("oscillate", help="pointwise oscillation witnesses")
@@ -314,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="indices per region (default 5)")
     p.add_argument("--cap", type=_parse_positive_int, default=DEFAULT_SEARCH_CAP,
                    help="largest index accepted (default 10^7)")
-    add_common(p, verdict=False, files=False)
+    add_common(p, files=False)
     p.set_defaults(func=cmd_oscillate)
 
     return parser
@@ -324,15 +278,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        inputs, payload, verdicts = args.func(args)
     except (ParseError, InvariantViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LamConvexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-    return EXIT_PASS if report.passed else EXIT_VERDICT_FAILURE
+    verdicts = [{"name": name, "value": value, "tolerance": tolerance,
+                 "passed": value <= tolerance} for name, value, tolerance in verdicts]
+    passed = all(v["passed"] for v in verdicts)
+    doc = {"operation": args.command, "inputs": inputs, "payload": payload,
+           "verdicts": verdicts, "passed": passed}
+    sys.stdout.write(_render(doc, args.json))
+    return EXIT_PASS if passed else EXIT_VERDICT_FAILURE
 
 
 if __name__ == "__main__":

@@ -144,15 +144,20 @@ def _pieces(t1: StepLaminate, t2: StepLaminate,
 class CombinationReport(Record):
     """Componentwise check of the convex-combination identity."""
 
-    __slots__ = ("alpha", "expected", "actual", "residuals", "max_residual", "tolerance",
-                 "passed")
+    __slots__ = ("alpha", "expected", "actual", "residuals", "tolerance")
     alpha: float
     expected: LamParams
     actual: LamParams
     residuals: tuple[float, ...]
-    max_residual: float
     tolerance: float
-    passed: bool
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
 
 
 def verify_combination(t1: StepLaminate, t2: StepLaminate, alpha: float,
@@ -164,13 +169,4 @@ def verify_combination(t1: StepLaminate, t2: StepLaminate, alpha: float,
     expected = blend(lamination_parameters(t1), lamination_parameters(t2), 1.0 - alpha)
     actual = lamination_parameters(result)
     residuals = tuple(abs(e - a) for e, a in zip(expected.flat(), actual.flat()))
-    worst = max(residuals)
-    return CombinationReport(
-        alpha=alpha,
-        expected=expected,
-        actual=actual,
-        residuals=residuals,
-        max_residual=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-    )
+    return CombinationReport(alpha, expected, actual, residuals, tolerance)

@@ -70,7 +70,8 @@ class StepLaminate(Record):
         return len(self.angles)
 
     def value_at(self, x: float) -> float:
-        """Angle at interior point x.
+        """Angle at interior point x, compared with the breakpoints
+        exactly (a Fraction x is not rounded to a float).
 
         Raises:
             UndefinedAtBreakpoint: if x coincides with a breakpoint

@@ -10,10 +10,8 @@ import pytest
 
 from lamconvex import (
     StepLaminate,
-    convergence_table,
     convex_combine,
     interleave,
-    lamination_parameters,
     load_laminate,
     save_laminate,
     verify_combination,
@@ -243,24 +241,35 @@ class TestGsequence:
         assert doc["payload"]["built"] == {"n": 16, "pieces": 32}
         verdict, = doc["verdicts"]
         assert verdict["name"] == "interleave_residual"
-        assert verdict["tolerance"] == 1e-12
+        assert verdict["tolerance"] == 1e-12 + interleaving._edge_rounding_bound(16)
         assert verdict["passed"] and verdict["value"] <= 1e-12
 
-    def test_verdict_failure_sets_exit_one(self, capsys, tmp_path):
-        t1 = StepLaminate((-1.0, -0.2, 0.4, 1.0),
-                          (math.radians(10), math.radians(37), math.radians(81)))
-        t2 = StepLaminate((-1.0, 0.3, 1.0), (math.radians(-23), math.radians(64)))
-        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_laminate(t1, f1)
-        save_laminate(t2, f2)
-        t1, t2 = load_laminate(f1), load_laminate(f2)
-        built = lamination_parameters(interleave(t1, t2, 0.3, 3))
-        closed = convergence_table(t1, t2, 0.3, [3])[0].params
-        assert built != closed  # tolerance 0 below is therefore unreachable
-        code, out, _ = run_cli(capsys, "gsequence", f1, f2, "--alpha", "0.3",
-                               "--n", "3,5", "--tolerance", "0")
+    def test_verdict_failure_sets_exit_one(self, capsys, cross_pair, monkeypatch):
+        # a built laminate that lost its first piece is off its row by far
+        # more than the verdict's tolerance
+        def dropping(t1, t2, alpha, n):
+            t = interleave(t1, t2, alpha, n)
+            return StepLaminate.from_pieces(t.breakpoints[2:], t.angles[1:])
+
+        monkeypatch.setattr(cli, "interleave", dropping)
+        f0, f90 = cross_pair
+        code, out, _ = run_cli(capsys, "gsequence", f0, f90, "--alpha", "0.3", "--n", "3,5")
         assert code == 1
         assert "verdict interleave_residual: FAIL" in out
+
+    @pytest.mark.parametrize("n", [65536, 2**20])
+    def test_large_n_passes_on_valid_input(self, capsys, cross_pair, n):
+        # the built cell edges round, one way within a binade, so the gap
+        # grows like n u, past --tolerance alone; the verdict adds the
+        # edge-rounding bound at the built n
+        f0, f90 = cross_pair
+        code, out, _ = run_cli(capsys, "gsequence", f0, f90,
+                               "--alpha", "0.3", "--n", n, "--json")
+        assert code == 0
+        verdict, = json.loads(out)["verdicts"]
+        assert verdict["value"] > 1e-12
+        assert verdict["tolerance"] == 1e-12 + interleaving._edge_rounding_bound(n)
+        assert verdict["passed"]
 
     def test_smallest_n_above_the_cell_limit_is_a_numeric_error(self, capsys, cross_pair):
         # the rows are closed form at any n, but the verdict builds the
@@ -337,3 +346,81 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0
     assert "below" in proc.stdout
+
+
+PINNED_TEXT = {
+    "params": ["params", "zero.json"],
+    "combine": ["combine", "zero.json", "ninety.json", "--alpha", "0.25"],
+    "gsequence": ["gsequence", "zero.json", "ninety.json", "--alpha", "0.5", "--n", "8,4"],
+    "oscillate": ["oscillate", "--x=-1/2", "--alpha", "0.5", "--count", "2"],
+}
+PINNED_OUTPUT = {
+    "params": """\
+operation: params
+  file: zero.json
+  normalize: False
+  ply_count: 1
+  parameters:
+    xiA: [1, 1, 0, 0]
+    xiB: [0, 0, 0, 0]
+    xiD: [1, 1, 0, 0]
+verdict parameter_bounds: PASS (value=1.000000e+00, tolerance=1.000000e+00)
+""",
+    "combine": """\
+operation: combine
+  file1: zero.json
+  file2: ninety.json
+  alpha: 0.25
+  out: None
+  ply_count: 4
+  parameters:
+    xiA: [0.5, 1, 3.06161699787e-17, -6.12323399574e-17]
+    xiB: [1.38777878078e-16, -2.77555756156e-17, -1.01972330509e-32, 2.03944661017e-32]
+    xiD: [0.5, 1, 3.06161699787e-17, -6.12323399574e-17]
+  expected:
+    xiA: [0.5, 1, 3.06161699787e-17, -6.12323399574e-17]
+    xiB: [0, 0, 0, 0]
+    xiD: [0.5, 1, 3.06161699787e-17, -6.12323399574e-17]
+  residuals: [0, 0, 0, 0, 1.38777878078e-16, 2.77555756156e-17, 1.01972330509e-32, \
+2.03944661017e-32, 1.11022302463e-16, 0, 6.16297582204e-33, 1.23259516441e-32]
+  max_residual: 1.38777878078e-16
+verdict combination_residual: PASS (value=1.387779e-16, tolerance=1.000000e-12)
+""",
+    "gsequence": """\
+operation: gsequence
+  file1: zero.json
+  file2: ninety.json
+  alpha: 0.5
+  n: [8, 4]
+  swap_limit: False
+  rows:
+    n=8, residual_a=0, residual_b=0.125, residual_d=0, residual_max=0.125
+    n=4, residual_a=0, residual_b=0.25, residual_d=0, residual_max=0.25
+  built:
+    n: 4
+    pieces: 8
+verdict interleave_residual: PASS (value=0.000000e+00, tolerance=1.005995e-12)
+""",
+    "oscillate": """\
+operation: oscillate
+  x: -1/2
+  alpha: 0.5
+  count: 2
+  cap: 10000000
+  y: 1/4
+  below: [[1, 1/4], [5, 1/4]]
+  above: [[3, 3/4], [7, 3/4]]
+  undefined_at: [2, 4]
+  angle1: 0
+  angle2: 1.57079632679
+  distinct_values: True
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TEXT))
+def test_text_output_is_pinned(capsys, cross_pair, monkeypatch, command):
+    monkeypatch.chdir(cross_pair[0].parent)
+    code, out, err = run_cli(capsys, *PINNED_TEXT[command])
+    assert (code, err) == (0, "")
+    assert out == PINNED_OUTPUT[command]

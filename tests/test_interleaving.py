@@ -163,6 +163,14 @@ class TestInterleave:
         (zero_edge,) = [b for b in t.breakpoints if b == 0.0]
         assert math.copysign(1.0, zero_edge) == 1.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(SOURCES, SOURCES, ALPHAS, st.integers(min_value=1, max_value=300))
+    def test_edge_rounding_bound_holds(self, t1, t2, alpha, n):
+        built = exact_parameters(interleave(t1, t2, alpha, n))
+        ideal = exact_interleaved_parameters(t1, t2, alpha, n)
+        gap = max(abs(b - i) for b, i in zip(built, ideal))
+        assert gap <= interleaving._edge_rounding_bound(n)
+
     @pytest.mark.parametrize("n", [2**16, 2**17])
     def test_parameters_match_exact_reference(self, n):
         rng = random.Random(16_24)
@@ -471,6 +479,14 @@ class TestOscillationWitness:
         table = oscillation_witness(t1, T90, 0.5, Fraction(-1, 2), 2)
         assert table.angle1 is None
         assert table.distinct_values is None
+
+    def test_rational_point_next_to_a_float_breakpoint(self):
+        # 1/3 rounds onto the breakpoint float(1/3) but lies right of it
+        t1 = StepLaminate((-1.0, float(Fraction(1, 3)), 1.0), (0.0, 1.0))
+        t2 = StepLaminate((-1.0, 1.0), (2.0,))
+        table = oscillation_witness(t1, t2, 0.5, Fraction(1, 3), 2)
+        assert table.angle1 == t1.value_at(Fraction(1, 3)) == 1.0
+        assert table.distinct_values is True
 
 
 class TestConvergenceTable:
