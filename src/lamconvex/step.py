@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from operator import lt, ne
 
 from ._record import Record
@@ -102,20 +102,24 @@ class StepLaminate(Record):
         last_right = float(rights[-1]) if len(rights) else -1.0
         if last_right != 1.0:
             raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
-                                     field="breakpoints")
+                                     field="breakpoints",
+                                     index=len(rights) - 1 if len(rights) else None)
         if len(angles) != len(rights):
             raise InvariantViolation(f"{len(angles)} angles for {len(rights)} pieces",
                                      field="angles")
-        edges, kept, prev = [-1.0], [], None  # prev: the last angle kept
-        for i, (right, angle) in enumerate(zip(rights, angles)):
-            if right > edges[-1]:
+        # prev and last: the angle and the right edge kept last
+        edges, kept, prev, last = [-1.0], [], None, -1.0
+        for right, angle in zip(rights, angles):
+            if right > last:
                 if angle == prev:
                     edges[-1] = right
                 else:
                     edges.append(right)
                     kept.append(angle)
                     prev = angle
+                last = right
             elif right != right:
+                i = next(i for i, r in enumerate(rights) if r != r)
                 raise InvariantViolation(f"piece {i} ends at {right}",
                                          field="breakpoints", index=i)
         breakpoints = tuple(edges)
@@ -148,16 +152,31 @@ def refine(t1: StepLaminate, t2: StepLaminate) -> RefinedPair:
     Breakpoints merge only when equal, so every breakpoint of either input
     is a refinement breakpoint, and each interval takes each input's angle
     at its left edge, exactly: the float objects of the inputs' angles.
-    Every input breakpoint below the last left edge is itself a left edge,
-    so an input's angle index is a running count of its breakpoints met
-    among the left edges, less one, with no search.
+    Each input's angle index is one pointer walked along the refinement's
+    right edges: an edge that compares equal (`==`, so 0.0 meets -0.0) to
+    the input's next breakpoint moves it on to the next ply, never past
+    the last. Every interior input breakpoint is a right edge, so the
+    pointer skips none.
     """
     bps = merge_close(sorted(t1.breakpoints + t2.breakpoints))
-    lefts = bps[:-1]
-    return RefinedPair(tuple(bps), *(
-        tuple(map(t.angles.__getitem__, islice(
-            accumulate(map(set(t.breakpoints).__contains__, lefts), initial=-1), 1, None)))
-        for t in (t1, t2)))
+    return RefinedPair(tuple(bps), *(_left_edge_angles(t, islice(bps, 1, None))
+                                     for t in (t1, t2)))
+
+
+def _left_edge_angles(t: StepLaminate, rights: Iterable[float]) -> tuple[float, ...]:
+    """t's angle on each interval of a refinement of t given by its right
+    edges in order: the pointer walk of `refine`."""
+    angles, k, out = t.angles, 0, []
+    # end: the breakpoint at which the pointer next moves; after the last
+    # interior one it is NaN, which no edge equals
+    ends = iter((*t.breakpoints[1:-1], math.nan))
+    end = next(ends)
+    for right in rights:
+        out.append(angles[k])
+        if right == end:
+            k += 1
+            end = next(ends)
+    return tuple(out)
 
 
 def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:

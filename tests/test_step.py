@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import sys
@@ -26,6 +27,7 @@ from _helpers import (
     float_laminates,
     laminates,
     midpoint_moments,
+    ply_laminate,
     random_laminate,
 )
 
@@ -240,6 +242,7 @@ class TestStepLaminate:
         with pytest.raises(InvariantViolation, match="pieces end at") as info:
             StepLaminate.from_pieces(np.array([0.5, 1.0 - 5e-13]), [0.1, 0.2])
         assert info.value.field == "breakpoints"
+        assert info.value.index == 1
 
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
@@ -251,6 +254,7 @@ class TestStepLaminate:
             with pytest.raises(InvariantViolation) as info:
                 StepLaminate.from_pieces(np.array(rights), [0.1, 0.2, 0.3, 0.4][:len(rights)])
             assert info.value.field == "breakpoints"
+            assert info.value.index == 1
 
     def test_from_pieces_two_slivers_in_a_row(self):
         # pieces 5e-13, 0.6e-12 and one float step wide are all kept, at
@@ -384,6 +388,32 @@ class TestRefine:
         assert rp.breakpoints == (-1.0, 0.3, x, 1.0)
         assert rp.angles1 == (0.1, 0.2, 0.2)
         assert rp.angles2 == (0.3, 0.3, 0.4)
+
+    def test_long_inputs_with_shared_breakpoints(self):
+        # two 2,000-ply inputs sharing about half their breakpoints, one of
+        # them 0.0 in t1 and -0.0 in t2, against a bisect at each left edge
+        rng = random.Random(2000)
+        t1, t2 = ply_laminate(rng, 2000), ply_laminate(rng, 2000)
+        b1 = list(t1.breakpoints)
+        nearest = min(range(1, len(b1) - 1), key=lambda i: abs(b1[i]))
+        b1[nearest] = 0.0
+        shared = rng.sample(b1[1:nearest] + b1[nearest + 1:-1], 999)
+        own = rng.sample(t2.breakpoints[1:-1], 999)
+        t1 = StepLaminate(b1, t1.angles)
+        t2 = StepLaminate((-1.0, *sorted([*shared, *own, -0.0]), 1.0), t2.angles)
+        assert t1.ply_count == t2.ply_count == 2000
+        rp = refine(t1, t2)
+        union = sorted(t1.breakpoints + t2.breakpoints)
+        bps = [union[0]]
+        for v in union[1:]:
+            if v > bps[-1]:
+                bps.append(v)
+        assert len(bps) == 3000  # 2001 + 2001 less the 1002 shared
+        assert [b.hex() for b in rp.breakpoints] == [b.hex() for b in bps]
+        for t, got in ((t1, rp.angles1), (t2, rp.angles2)):
+            assert len(got) == len(bps) - 1
+            for lo, angle in zip(bps, got):
+                assert angle is t.angles[bisect.bisect_right(t.breakpoints, lo) - 1]
 
     @given(st.one_of(close_laminates(), float_laminates()),
            st.one_of(close_laminates(), float_laminates()))
