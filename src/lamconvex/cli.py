@@ -119,31 +119,25 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-# Each cmd_* returns (inputs, payload, verdicts), a verdict being
-# (name, value, tolerance); `main` builds the report document from them.
+# Each cmd_* returns (payload, verdicts), a verdict being
+# (name, value, tolerance); `main` builds the report document from them,
+# with the parsed options as its inputs.
 
-def cmd_params(args) -> tuple[dict, dict, list]:
+def cmd_params(args) -> tuple[dict, list]:
     t = load_laminate(args.file, normalize=args.normalize)
     params = lamination_parameters(t)
     worst = max(abs(v) for v in params.flat())
-    return ({"file": str(args.file), "normalize": args.normalize},
-            {"ply_count": t.ply_count, "parameters": params.as_dict()},
+    return ({"ply_count": t.ply_count, "parameters": params.as_dict()},
             [("parameter_bounds", worst, 1.0 + args.tolerance)])
 
 
-def cmd_combine(args) -> tuple[dict, dict, list]:
+def cmd_combine(args) -> tuple[dict, list]:
     t1 = load_laminate(args.file1, normalize=args.normalize)
     t2 = load_laminate(args.file2, normalize=args.normalize)
     result = convex_combine(t1, t2, args.alpha)
     check = verify_combination(t1, t2, args.alpha, result, tolerance=args.tolerance)
     if args.out:
         save_laminate(result, args.out, name=f"combine(alpha={args.alpha})")
-    inputs = {
-        "file1": str(args.file1),
-        "file2": str(args.file2),
-        "alpha": args.alpha,
-        "out": str(args.out) if args.out else None,
-    }
     payload = {
         "ply_count": result.ply_count,
         "parameters": check.actual.as_dict(),
@@ -151,10 +145,10 @@ def cmd_combine(args) -> tuple[dict, dict, list]:
         "residuals": list(check.residuals),
         "max_residual": check.max_residual,
     }
-    return inputs, payload, [("combination_residual", check.max_residual, check.tolerance)]
+    return payload, [("combination_residual", check.max_residual, check.tolerance)]
 
 
-def cmd_gsequence(args) -> tuple[dict, dict, list]:
+def cmd_gsequence(args) -> tuple[dict, list]:
     """The closed-form table, and a verdict that builds the laminate of
     the smallest n and checks its kernel parameters against that row. The
     verdict's tolerance is --tolerance, for the round-off of the kernel
@@ -168,21 +162,13 @@ def cmd_gsequence(args) -> tuple[dict, dict, list]:
     closed = next(row.params for row in rows if row.n == n0)
     gap = max(abs(b - c) for b, c in
               zip(lamination_parameters(built).flat(), closed.flat()))
-    inputs = {
-        "file1": str(args.file1),
-        "file2": str(args.file2),
-        "alpha": args.alpha,
-        "n": list(args.n),
-        "swap_limit": args.swap_limit,
-    }
     payload = {
         "rows": [{"n": row.n, "residual_a": row.residual_a, "residual_b": row.residual_b,
                   "residual_d": row.residual_d, "residual_max": row.residual_max}
                  for row in rows],
         "built": {"n": n0, "pieces": built.ply_count},
     }
-    return inputs, payload, [("interleave_residual", gap,
-                              args.tolerance + _edge_rounding_bound(n0))]
+    return payload, [("interleave_residual", gap, args.tolerance + _edge_rounding_bound(n0))]
 
 
 # Demonstration pair used when oscillate is not given explicit laminates:
@@ -191,7 +177,7 @@ _OSC_T1 = StepLaminate((-1.0, 1.0), (0.0,))
 _OSC_T2 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
 
 
-def cmd_oscillate(args) -> tuple[dict, dict, list]:
+def cmd_oscillate(args) -> tuple[dict, list]:
     table = oscillation_witness(_OSC_T1, _OSC_T2, args.alpha, args.x,
                                 args.count, cap=args.cap)
     # exact fractions print as 'p/q' for a rational --x, as numbers for a float
@@ -207,13 +193,7 @@ def cmd_oscillate(args) -> tuple[dict, dict, list]:
     }
     if table.distinct_values is False:
         payload["note"] = "sources agree at x; oscillation is vacuous here"
-    inputs = {
-        "x": str(args.x) if isinstance(args.x, Fraction) else args.x,
-        "alpha": args.alpha,
-        "count": args.count,
-        "cap": args.cap,
-    }
-    return inputs, payload, []
+    return payload, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +258,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, payload, verdicts = args.func(args)
+        payload, verdicts = args.func(args)
     except (ParseError, InvariantViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -288,6 +268,11 @@ def main(argv=None) -> int:
     verdicts = [{"name": name, "value": value, "tolerance": tolerance,
                  "passed": value <= tolerance} for name, value, tolerance in verdicts]
     passed = all(v["passed"] for v in verdicts)
+    # every option parsed, a rational --x as 'p/q' and the --n tuple as a list
+    inputs = {key: str(value) if isinstance(value, Fraction)
+              else list(value) if isinstance(value, tuple) else value
+              for key, value in vars(args).items()
+              if key not in ("command", "func", "json")}
     doc = {"operation": args.command, "inputs": inputs, "payload": payload,
            "verdicts": verdicts, "passed": passed}
     sys.stdout.write(_render(doc, args.json))

@@ -40,8 +40,30 @@ from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
 from .step import StepLaminate, refine
 
-# Verdict tolerance of verify_combination and of the CLI's --tolerance.
 DEFAULT_TOLERANCE = 1e-12
+"""Verdict tolerance of verify_combination and of the CLI's --tolerance:
+an empirical guard, not a proven bound. The worst residual measured on
+valid input is 9.3e-16 over 20,000 `float_laminates` pairs (alphas from
+1e-17 to 1 - 1e-16) and 1.8e-14 over the 25 `combine-large` operations
+of seeds 1-5 (2k-20k plies per file); the benchmark's checker requires
+this value.
+
+The proven bound grows with the number R of regions whose two angles
+differ: a residual is at most (9R/2 + 120) u, u = 2^-53. A split point
+lo + k L (or hi - k L, L the float hi - lo) is within u/2 + e L of its
+exact place: u/2 from its last rounding, since |z| < 1, and e L from the
+coefficient k's own error and the roundings of L and of k L, with e
+under 14u summed over a region's three points. The built laminate
+differs from the exact construction on a set of measure at most the sum
+of the point errors, under (3R/2 + 28) u since the region widths sum to
+at most 2. There a trig value changes by at most 2, and the largest
+prefactor is 3/2, so a parameter moves by under (9R/2 + 84) u. The
+kernel's round-off in its three calls, and the blend, add under 36u.
+So the default is proven for R up to 1,974; the largest `combine-large`
+operations have about 21,500 differing regions, where the bound is
+1.1e-11 and the residuals stay below 2e-14, since the roundings' signs
+cancel.
+"""
 
 
 def matched_split(lo: float, hi: float, fraction: float) -> tuple[float, float, float]:

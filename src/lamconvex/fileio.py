@@ -1,9 +1,10 @@
 """JSON laminate files.
 
 Schema: {"breakpoints": [-1.0, ..., 1.0], "angles_deg": [...], "name": "..."}
-with `name` optional and no other fields allowed. Angles are stored in
-degrees (ply-table convention) and converted to radians on load; full
-float precision round-trips through the shortest-repr serialization.
+with `name` optional, no other fields allowed and none repeated. Angles
+are stored in degrees (ply-table convention) and converted to radians on
+load; full float precision round-trips through the shortest-repr
+serialization.
 
 Files are written 8192 values at a time, so the writer never holds more
 than one block of text. The bytes are fixed: the keys in schema order,
@@ -68,13 +69,14 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
 
     Raises:
         ParseError: bytes that are not UTF-8, malformed or too deeply
-            nested JSON, or schema violations.
+            nested JSON, a repeated field, or schema violations.
         InvariantViolation: structurally valid file with invalid laminate data.
         OSError: unreadable path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=_reject_constant)
+            data = json.load(fh, parse_constant=_reject_constant,
+                             object_pairs_hook=_unique_fields)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
@@ -86,6 +88,17 @@ def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLamin
 
 def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} not allowed in laminate files")
+
+
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises rather than the last
+    value silently winning."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError(f"repeated field {key!r}", field=key)
+    return data
 
 
 def _write_floats(fh, values, convert=None) -> None:

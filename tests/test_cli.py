@@ -358,6 +358,7 @@ PINNED_OUTPUT = {
     "params": """\
 operation: params
   file: zero.json
+  tolerance: 1e-12
   normalize: False
   ply_count: 1
   parameters:
@@ -372,6 +373,8 @@ operation: combine
   file2: ninety.json
   alpha: 0.25
   out: None
+  tolerance: 1e-12
+  normalize: False
   ply_count: 4
   parameters:
     xiA: [0.5, 1, 3.06161699787e-17, -6.12323399574e-17]
@@ -393,6 +396,8 @@ operation: gsequence
   alpha: 0.5
   n: [8, 4]
   swap_limit: False
+  tolerance: 1e-12
+  normalize: False
   rows:
     n=8, residual_a=0, residual_b=0.125, residual_d=0, residual_max=0.125
     n=4, residual_a=0, residual_b=0.25, residual_d=0, residual_max=0.25
@@ -424,3 +429,33 @@ def test_text_output_is_pinned(capsys, cross_pair, monkeypatch, command):
     code, out, err = run_cli(capsys, *PINNED_TEXT[command])
     assert (code, err) == (0, "")
     assert out == PINNED_OUTPUT[command]
+
+
+# every option given a value other than its default
+ALL_OPTIONS = {
+    "params": ["params", "zero.json", "--normalize", "--tolerance", "1e-9"],
+    "combine": ["combine", "zero.json", "ninety.json", "--alpha", "0.3", "--out", "mix.json",
+                "--normalize", "--tolerance", "1e-9"],
+    "gsequence": ["gsequence", "zero.json", "ninety.json", "--alpha", "0.5", "--n", "8,4",
+                  "--swap-limit", "--normalize", "--tolerance", "1e-9"],
+    "oscillate": ["oscillate", "--x=-1/2", "--alpha", "0.5", "--count", "2", "--cap", "100"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(ALL_OPTIONS))
+def test_inputs_are_the_parsed_options(capsys, cross_pair, monkeypatch, command, as_json):
+    monkeypatch.chdir(cross_pair[0].parent)
+    argv = ALL_OPTIONS[command]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    for key in ("command", "func", "json"):
+        del parsed[key]
+    # as JSON holds them: the --n tuple a list, a rational --x its 'p/q'
+    expected = json.loads(json.dumps(parsed, default=str))
+    code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    if as_json:
+        assert json.loads(out)["inputs"] == expected
+    else:
+        lines = out.splitlines()[1:1 + len(expected)]
+        assert lines == [f"  {key}: {value}" for key, value in expected.items()]

@@ -53,6 +53,17 @@ class TestLoad:
         with pytest.raises(ParseError, match="angles_rad"):
             load_laminate(path)
 
+    @pytest.mark.parametrize("key", ["breakpoints", "angles_deg", "name"])
+    def test_repeated_field_rejected(self, tmp_path, key):
+        # a valid laminate but for the repeat; json.load alone keeps the last value
+        fields = {"breakpoints": "[-1, 0, 1]", "angles_deg": "[0, 90]", "name": '"a"'}
+        text = ", ".join(f'"{k}": {v}' for k, v in [*fields.items(), (key, fields[key])])
+        path = tmp_path / "t.json"
+        path.write_text("{" + text + "}", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"repeated field '{key}'") as info:
+            load_laminate(path)
+        assert info.value.field == key
+
     def test_missing_field(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"breakpoints": [-1, 1]})
         with pytest.raises(ParseError, match="angles_deg"):
