@@ -136,7 +136,7 @@ def cmd_combine(args) -> tuple[dict, list]:
     t2 = load_laminate(args.file2, normalize=args.normalize)
     result = convex_combine(t1, t2, args.alpha)
     check = verify_combination(t1, t2, args.alpha, result, tolerance=args.tolerance)
-    if args.out:
+    if args.out is not None:
         save_laminate(result, args.out, name=f"combine(alpha={args.alpha})")
     payload = {
         "ply_count": result.ply_count,

@@ -34,6 +34,8 @@ family.
 """
 
 import math
+from collections.abc import Iterator
+from itertools import islice
 
 from ._record import Record
 from .errors import AlphaOutOfRange, DegenerateInterval
@@ -131,36 +133,41 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
         return t1
     if alpha == 1.0:
         return t2
-    return StepLaminate.from_pieces(*_pieces(t1, t2, alpha))
+    return StepLaminate.from_pieces(_pieces(t1, t2, alpha))
 
 
 def _pieces(t1: StepLaminate, t2: StepLaminate,
-            alpha: float) -> tuple[list[float], list[float]]:
-    """The right edges and angles of `convex_combine`'s pieces, for
-    0 < alpha < 1. Each input reaches `refine` as its runs, so every
-    refinement edge is an edge where an angle changes."""
-    rp = refine(*(StepLaminate.from_pieces(t.breakpoints[1:], t.angles) for t in (t1, t2)))
+            alpha: float) -> Iterator[tuple[float, float]]:
+    """The (right edge, angle) of each of `convex_combine`'s pieces, in
+    order, for 0 < alpha < 1: a generator, so that `from_pieces` reads
+    each region's pieces as they are made and no list of them is built.
+    Each input reaches `refine` as its runs, so every refinement edge is
+    an edge where an angle changes."""
+    rp = refine(*(StepLaminate.from_pieces(zip(islice(t.breakpoints, 1, None), t.angles))
+                  for t in (t1, t2)))
     edges, a1, a2 = rp.breakpoints, rp.angles1, rp.angles2
     fraction, matched, rest = (alpha, a2, a1) if alpha < 0.5 else (1.0 - alpha, a1, a2)
     b, c, d = matched_split(0.0, 1.0, fraction)
     # the mirror [rest, E, rest, E], anchored at hi, where its first piece
     # merges with the last one emitted
-    rights, angles, prev = [], [], None
-    for lo, hi, e, r, a in zip(edges, edges[1:], matched, rest, a1):
+    prev = None
+    for lo, hi, e, r, a in zip(edges, islice(edges, 1, None), matched, rest, a1):
         length = hi - lo
         if e == r:
-            rights.append(hi)
-            angles.append(a)
+            yield hi, a
             prev = a
         elif r == prev:
-            rights += (hi - d * length, hi - c * length, hi - b * length, hi)
-            angles += (r, e, r, e)
+            yield hi - d * length, r
+            yield hi - c * length, e
+            yield hi - b * length, r
+            yield hi, e
             prev = e
         else:
-            rights += (lo + b * length, lo + c * length, lo + d * length, hi)
-            angles += (e, r, e, r)
+            yield lo + b * length, e
+            yield lo + c * length, r
+            yield lo + d * length, e
+            yield hi, r
             prev = r
-    return rights, angles
 
 
 class CombinationReport(Record):

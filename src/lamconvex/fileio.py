@@ -61,7 +61,19 @@ def laminate_from_dict(data: object, normalize: bool = False) -> StepLaminate:
     angles_deg = _number_list(data, "angles_deg")
     if normalize:
         breakpoints = list(normalize_breakpoints(breakpoints))
-    return StepLaminate(tuple(breakpoints), tuple(map(math.radians, angles_deg)))
+    return StepLaminate(tuple(breakpoints), _radians(angles_deg))
+
+
+# a zero angle in radians by its sign, math.copysign(1.0, zero)
+_ZEROS = {1.0: 0.0, -1.0: -0.0}
+
+
+def _radians(angles_deg: list[float]) -> tuple[float, ...]:
+    """The angles in radians, one float object per distinct value, so a
+    ply table of four angles holds four objects whatever its length. A
+    zero keeps its sign: 0.0 == -0.0, so zeros are looked up by sign."""
+    memo = {d: math.radians(d) for d in set(angles_deg) if d}
+    return tuple([memo[d] if d else _ZEROS[math.copysign(1.0, d)] for d in angles_deg])
 
 
 def load_laminate(path: str | os.PathLike, normalize: bool = False) -> StepLaminate:

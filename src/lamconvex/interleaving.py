@@ -105,7 +105,7 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
             rights += bps[first:last]
             rights.append(hi)
             angles += t.angles[first - 1:last]
-    return StepLaminate.from_pieces(rights, angles)
+    return StepLaminate.from_pieces(zip(rights, angles))
 
 
 def _edge_rounding_bound(n: int) -> float:

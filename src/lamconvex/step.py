@@ -86,10 +86,11 @@ class StepLaminate(Record):
         return self.angles[pos - 1]
 
     @classmethod
-    def from_pieces(cls, rights: Sequence[float], angles: Sequence[float]) -> "StepLaminate":
-        """Assemble from pieces starting at -1: piece i ends at rights[i]
-        and carries angles[i]; both are sequences of one length. The last
-        right edge must be exactly 1.
+    def from_pieces(cls, pieces: Iterable[tuple[float, float]]) -> "StepLaminate":
+        """Assemble from pieces starting at -1: `pieces` gives, in order,
+        each piece's (right edge, angle). It is read once, so a generator
+        or a `zip` of two sequences will do, and only the kept edges and
+        angles are held. The last right edge must be exactly 1.
 
         A piece whose right edge is not above every earlier edge (and -1) is
         dropped: it is empty, or its split points or part edges crossed in
@@ -97,31 +98,33 @@ class StepLaminate(Record):
         however thin. Then each run of adjacent pieces whose angles compare
         equal (`==`) becomes one piece, with the run's first angle and last
         right edge; no measure moves. The angles kept are the objects of
-        `angles`.
+        `pieces`.
         """
-        last_right = float(rights[-1]) if len(rights) else -1.0
-        if last_right != 1.0:
-            raise InvariantViolation(f"pieces end at {last_right}, expected 1.0",
-                                     field="breakpoints",
-                                     index=len(rights) - 1 if len(rights) else None)
-        if len(angles) != len(rights):
-            raise InvariantViolation(f"{len(angles)} angles for {len(rights)} pieces",
-                                     field="angles")
-        # prev and last: the angle and the right edge kept last
-        edges, kept, prev, last = [-1.0], [], None, -1.0
-        for right, angle in zip(rights, angles):
+        # prev and last: the angle and the right edge kept last; skipped:
+        # the pieces dropped or merged, which with the kept ones count the
+        # pieces read
+        edges, kept, prev, last, skipped = [-1.0], [], None, -1.0, 0
+        right = -1.0
+        for right, angle in pieces:
             if right > last:
                 if angle == prev:
                     edges[-1] = right
+                    skipped += 1
                 else:
                     edges.append(right)
                     kept.append(angle)
                     prev = angle
                 last = right
-            elif right != right:
-                i = next(i for i, r in enumerate(rights) if r != r)
+            elif right == right:
+                skipped += 1
+            else:
+                i = len(kept) + skipped
                 raise InvariantViolation(f"piece {i} ends at {right}",
                                          field="breakpoints", index=i)
+        if right != 1.0:
+            count = len(kept) + skipped
+            raise InvariantViolation(f"pieces end at {float(right)}, expected 1.0",
+                                     field="breakpoints", index=count - 1 if count else None)
         breakpoints = tuple(edges)
         del edges  # freed before the angles tuple is built
         return cls(breakpoints, tuple(kept))

@@ -157,6 +157,14 @@ class TestCombine:
         assert "PASS" in out
         assert load_laminate(out_path).breakpoints == (-1.0, 1.0)
 
+    def test_empty_out_path_is_a_usage_error(self, capsys, cross_pair):
+        # an empty --out names no file; it fails to open, not silently skips
+        f0, f90 = cross_pair
+        code, out, err = run_cli(capsys, "combine", f0, f90, "--alpha", "0.3", "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_alpha_domain_error(self, capsys, cross_pair):
         f0, f90 = cross_pair
         code, _, err = run_cli(capsys, "combine", f0, f90, "--alpha", "1.5")
@@ -249,7 +257,7 @@ class TestGsequence:
         # more than the verdict's tolerance
         def dropping(t1, t2, alpha, n):
             t = interleave(t1, t2, alpha, n)
-            return StepLaminate.from_pieces(t.breakpoints[2:], t.angles[1:])
+            return StepLaminate.from_pieces(zip(t.breakpoints[2:], t.angles[1:]))
 
         monkeypatch.setattr(cli, "interleave", dropping)
         f0, f90 = cross_pair

@@ -41,6 +41,22 @@ class TestLoad:
         t = load_laminate(path)
         assert t.angles == (0.0, pytest.approx(math.pi / 2, abs=1e-15))
 
+    def test_one_angle_object_per_value_and_signed_zeros(self, tmp_path):
+        # equal angles share one radian float; 0.0 == -0.0, yet each zero
+        # keeps its sign, and the file saves back to the same bytes
+        text = ('{\n  "breakpoints": [\n    -1.0,\n    -0.5,\n    0.0,\n    0.25,\n'
+                '    0.5,\n    1.0\n  ],\n  "angles_deg": [\n    0.0,\n    -0.0,\n'
+                '    45.0,\n    45.0,\n    -0.0\n  ],\n  "name": "z"\n}\n')
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        t = load_laminate(path)
+        assert [math.copysign(1.0, a) for a in t.angles[:2] + t.angles[4:]] == [1.0, -1.0, -1.0]
+        assert t.angles[2] is t.angles[3]
+        assert t.angles[2] == math.radians(45.0)
+        saved = tmp_path / "saved.json"
+        save_laminate(t, saved, name="z")
+        assert saved.read_text(encoding="utf-8") == text
+
     def test_length_mismatch(self, tmp_path):
         path = write_json(tmp_path / "t.json",
                           {"breakpoints": [-1, 1], "angles_deg": [0, 90]})

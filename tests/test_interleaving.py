@@ -144,12 +144,13 @@ class TestInterleave:
     @settings(max_examples=100, deadline=None)
     @given(SOURCES, ALPHAS, st.integers(min_value=1, max_value=64))
     def test_a_laminate_with_itself_is_itself(self, t, alpha, n):
-        assert interleave(t, t, alpha, n) == StepLaminate.from_pieces(t.breakpoints[1:], t.angles)
+        want = StepLaminate.from_pieces(zip(t.breakpoints[1:], t.angles))
+        assert interleave(t, t, alpha, n) == want
 
     def test_a_laminate_with_itself_merges_equal_neighbours(self):
         t = StepLaminate((-1.0, -0.25, 0.1, 0.6, 1.0), (0.5, 0.5, -0.0, 0.0))
         want = StepLaminate((-1.0, 0.1, 1.0), (0.5, -0.0))
-        assert StepLaminate.from_pieces(t.breakpoints[1:], t.angles) == want
+        assert StepLaminate.from_pieces(zip(t.breakpoints[1:], t.angles)) == want
         for n in (1, 3, 64):
             assert interleave(t, t, 0.3, n) == want
 

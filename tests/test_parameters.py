@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from _helpers import (
     exact_parameters,
     laminates,
     max_param_diff,
+    ply_laminate,
     quadrature_parameters,
     random_laminate,
 )
@@ -80,7 +82,7 @@ def test_many_thin_pieces_stay_near_exact():
     # round-off (2.8e-17 measured); moments taken as differences of
     # rounded powers put this laminate 6.0e-15 off. The second laminate
     # gives every ply its own angle, the worst case for the kernel's
-    # per-angle sums, over three blocks of 8192 plies (the kernel's
+    # per-angle sums, over twelve blocks of 2048 plies (the kernel's
     # block size) and 5 plies more.
     rng = random.Random(2)
     interior = sorted(rng.uniform(-1.0, 1.0) for _ in range(2**16 - 1))
@@ -96,6 +98,20 @@ def test_many_thin_pieces_stay_near_exact():
         got = lamination_parameters(t).flat()
         worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
         assert worst <= 5e-16, worst
+
+
+def test_transient_memory_is_one_block():
+    # the kernel holds one block's moments and index lists at a time,
+    # about 0.54 MB whatever the ply count
+    t = ply_laminate(random.Random(3), 75_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lamination_parameters(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1_000_000, f"kernel peaked {(peak - before) / 1e6:.2f} MB"
 
 
 @settings(max_examples=60)

@@ -149,7 +149,7 @@ class TestValidationHook:
     @pytest.mark.parametrize("make", [
         lambda: StepLaminate([-1, 0, 1], [0, 1]),
         lambda: StepLaminate(breakpoints=(-1.0, 1.0), angles=(0.0,)),
-        lambda: StepLaminate.from_pieces([0.0, 0.5, 1.0], [0.0, 0.0, 1.0]),
+        lambda: StepLaminate.from_pieces(zip([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])),
         lambda: pickle.loads(pickle.dumps(T1)),
         lambda: copy.deepcopy(T1),
     ], ids=["positional", "keyword", "from_pieces", "unpickle", "deepcopy"])

@@ -228,31 +228,31 @@ class TestStepLaminate:
 
     def test_from_pieces_drops_leading_sliver(self):
         # a split point that collapsed onto -1 leaves a zero-width piece
-        t = StepLaminate.from_pieces(np.array([-1.0, 0.5, 1.0]), [0.3, 0.7, 0.9])
+        t = StepLaminate.from_pieces(zip(np.array([-1.0, 0.5, 1.0]), [0.3, 0.7, 0.9]))
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.7, 0.9)
 
     def test_from_pieces_drops_trailing_sliver(self):
         # a split point that collapsed onto 1 leaves a zero-width last piece
-        t = StepLaminate.from_pieces(np.array([0.5, 1.0, 1.0]), [0.1, 0.2, 0.3])
+        t = StepLaminate.from_pieces(zip(np.array([0.5, 1.0, 1.0]), [0.1, 0.2, 0.3]))
         assert t.breakpoints == (-1.0, 0.5, 1.0)
         assert t.angles == (0.1, 0.2)
 
     def test_from_pieces_requires_exact_end(self):
         with pytest.raises(InvariantViolation, match="pieces end at") as info:
-            StepLaminate.from_pieces(np.array([0.5, 1.0 - 5e-13]), [0.1, 0.2])
+            StepLaminate.from_pieces(zip(np.array([0.5, 1.0 - 5e-13]), [0.1, 0.2]))
         assert info.value.field == "breakpoints"
         assert info.value.index == 1
 
     def test_from_pieces_requires_full_cover(self):
         with pytest.raises(InvariantViolation):
-            StepLaminate.from_pieces(np.array([0.0]), [0.3])
+            StepLaminate.from_pieces(zip(np.array([0.0]), [0.3]))
 
     def test_from_pieces_rejects_nan_end(self):
         # a NaN right edge, last or inside, is never dropped as a collapsed piece
         for rights in ([0.5, math.nan], [0.5, math.nan, 0.75, 1.0]):
             with pytest.raises(InvariantViolation) as info:
-                StepLaminate.from_pieces(np.array(rights), [0.1, 0.2, 0.3, 0.4][:len(rights)])
+                StepLaminate.from_pieces(zip(np.array(rights), [0.1, 0.2, 0.3, 0.4]))
             assert info.value.field == "breakpoints"
             assert info.value.index == 1
 
@@ -262,7 +262,7 @@ class TestStepLaminate:
         rights = [-1.0 + 5e-13, 0.0, 0.6e-12, 1.2e-12, math.nextafter(1.2e-12, 1.0),
                   1.0 - 5e-13, 1.0]
         angles = [0.1 * k for k in range(len(rights))]
-        t = StepLaminate.from_pieces(np.array(rights), angles)
+        t = StepLaminate.from_pieces(zip(np.array(rights), angles))
         assert t.breakpoints == (-1.0, *rights)
         assert t.angles == tuple(angles)
 
@@ -286,17 +286,33 @@ class TestStepLaminate:
             return t.breakpoints, t.angles
 
         piece_angles = np.array([angle for _, angle in pieces], dtype=object)
-        assert outcome(lambda: StepLaminate.from_pieces(np.array(rights), piece_angles)) == \
+        assert outcome(lambda: StepLaminate.from_pieces(zip(np.array(rights), piece_angles))) == \
             outcome(lambda: StepLaminate(tuple(edges), tuple(angles)))
 
     def test_from_pieces_empty(self):
         with pytest.raises(InvariantViolation, match="pieces end at -1.0"):
-            StepLaminate.from_pieces(np.empty(0), [])
+            StepLaminate.from_pieces(zip(np.empty(0), []))
 
-    def test_from_pieces_rejects_length_mismatch(self):
-        with pytest.raises(InvariantViolation, match="1 angles for 2 pieces") as info:
-            StepLaminate.from_pieces(np.array([0.0, 1.0]), [0.3])
-        assert info.value.field == "angles"
+    def test_from_pieces_reads_a_one_shot_generator(self):
+        # the pieces are read once, in order, as they are made
+        read = []
+
+        def pieces():
+            for right, angle in ((-1.0, 0.1), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)):
+                read.append(right)
+                yield right, angle
+
+        t = StepLaminate.from_pieces(pieces())
+        assert read == [-1.0, 0.0, 0.5, 1.0]
+        assert t.breakpoints == (-1.0, 0.5, 1.0)
+        assert t.angles == (0.2, 0.3)
+
+    def test_from_pieces_end_error_counts_every_piece_read(self):
+        # the index names the last piece read, dropped and merged ones included
+        pieces = [(0.0, 0.1), (0.0, 0.2), (0.5, 0.1), (0.75, 0.1), (0.9, 0.3)]
+        with pytest.raises(InvariantViolation, match="pieces end at 0.9") as info:
+            StepLaminate.from_pieces(iter(pieces))
+        assert info.value.index == 4
 
     def test_from_pieces_merges_equal_neighbours_after_dropping(self):
         # the collapsed second piece stands between two pieces of angle 0.2;
@@ -307,7 +323,7 @@ class TestStepLaminate:
         assert first is not second
         rights = [-0.5, -0.5, 0.0, 0.5, 0.75, 0.9, 1.0]
         angles = [first, 0.7, second, 0.0, -0.0, 0.3, 0.0]
-        t = StepLaminate.from_pieces(np.array(rights), np.array(angles, dtype=object))
+        t = StepLaminate.from_pieces(zip(np.array(rights), np.array(angles, dtype=object)))
         assert t.breakpoints == (-1.0, 0.0, 0.75, 0.9, 1.0)
         assert t.angles == (0.2, 0.0, 0.3, 0.0)
         assert t.angles[0] is first
@@ -315,7 +331,8 @@ class TestStepLaminate:
 
     def test_from_pieces_keeps_angle_objects(self):
         angle = math.pi / 7
-        t = StepLaminate.from_pieces(np.array([0.0, 1.0]), np.array([angle, 0.5], dtype=object))
+        angles = np.array([angle, 0.5], dtype=object)
+        t = StepLaminate.from_pieces(zip(np.array([0.0, 1.0]), angles))
         assert t.angles[0] is angle
 
 
