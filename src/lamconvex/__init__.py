@@ -32,7 +32,6 @@ from .fileio import (
 from .interleaving import (
     ConvergenceRow,
     WitnessTable,
-    bezout_solve,
     congruence_solutions,
     convergence_table,
     find_n_in_region,
@@ -69,7 +68,6 @@ __all__ = [
     "StepLaminate",
     "UndefinedAtBreakpoint",
     "WitnessTable",
-    "bezout_solve",
     "blend",
     "congruence_solutions",
     "convergence_table",

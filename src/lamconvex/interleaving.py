@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -67,13 +67,6 @@ def _check_n(n: int, most: int | None = None) -> None:
         raise ValueError(f"n = {n} is above {most}, the most cells interleave builds")
 
 
-def _exact_y(x: Number) -> Fraction:
-    """y = (x + 1)/2 as an exact Fraction, for x strictly inside (-1, 1)."""
-    if not -1 < x < 1:
-        raise ValueError(f"x = {x} outside (-1, 1)")
-    return (Fraction(x) + 1) / 2
-
-
 def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> StepLaminate:
     """The n-th interleaved laminate.
 
@@ -81,31 +74,36 @@ def interleave(t1: StepLaminate, t2: StepLaminate, alpha: float, n: int) -> Step
     takes t1's values and the remainder takes t2's. Each of the 2n cell
     parts gives, in order, its source's breakpoints strictly inside it,
     then its own end, each with that source's angle on its left, and
-    `StepLaminate.from_pieces` assembles them. So a source breakpoint
-    equal to a part edge gives way to the part edge, a part that is
-    empty or crossed by round-off holds nothing, and no two adjacent
-    pieces share an angle. The parameters differ from the ideal
-    interleaving's by at most `_edge_rounding_bound(n)`, through the
-    rounded part edges. An n above `MAX_CELLS` raises ValueError before
-    anything is built (`convergence_table` takes any n).
+    `StepLaminate.from_pieces` reads them in one pass as they are made.
+    So a source breakpoint equal to a part edge gives way to the part
+    edge, a part that is empty or crossed by round-off holds nothing,
+    and no two adjacent pieces share an angle. No list of the pieces is
+    built, so the peak memory stays near the result's. The parameters
+    differ from the ideal interleaving's by at most
+    `_edge_rounding_bound(n)`, through the rounded part edges. An n
+    above `MAX_CELLS` raises ValueError before anything is built
+    (`convergence_table` takes any n).
     """
     _check_alpha(alpha)
     _check_n(n, most=MAX_CELLS)
+    return StepLaminate.from_pieces(_parts(t1, t2, alpha, n))
+
+
+def _parts(t1: StepLaminate, t2: StepLaminate, alpha: float,
+           n: int) -> Iterator[tuple[float, float]]:
+    """The (right edge, angle) of each of `interleave`'s pieces, in order."""
     step = 2.0 * alpha / n
-    rights, angles = [], []
     for i in range(n):
         left = -1.0 + (2.0 * i) / n
         mid = left + step
         for t, lo, hi in ((t1, left, mid), (t2, mid, -1.0 + (2.0 * (i + 1)) / n)):
-            bps = t.breakpoints
+            bps, angles = t.breakpoints, t.angles
             # plies first - 1 .. last - 1 of t meet (lo, hi); the search's
             # upper bound keeps ply first - 1 in range for a part at 1.0
             first = bisect_right(bps, lo, 1, len(bps) - 1)
             last = bisect_left(bps, hi, first)
-            rights += bps[first:last]
-            rights.append(hi)
-            angles += t.angles[first - 1:last]
-    return StepLaminate.from_pieces(zip(rights, angles))
+            yield from zip(bps[first:last], angles[first - 1:last - 1])
+            yield hi, angles[last - 1]
 
 
 def _edge_rounding_bound(n: int) -> float:
@@ -128,23 +126,6 @@ def _edge_rounding_bound(n: int) -> float:
     return 6 * (2 * n + 1) * 2.0 ** -53
 
 
-def bezout_solve(p: int, q: int) -> tuple[int, int]:
-    """Smallest n >= 1 with n*p - q*i = 1 for some integer i >= 0.
-
-    Returns (n, i). All other solutions are (n + k*q, i + k*p).
-
-    Raises:
-        NotCoprime: if gcd(p, q) != 1.
-        ValueError: unless 0 < p < q.
-    """
-    if not (isinstance(p, int) and isinstance(q, int) and 0 < p < q):
-        raise ValueError(f"need integers 0 < p < q, got p={p!r}, q={q!r}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p = {p} and q = {q} share factor {math.gcd(p, q)}")
-    n0 = pow(p, -1, q)
-    return n0, (n0 * p - 1) // q
-
-
 def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, int]]:
     """First `count` pairs (n, i) with n*p - q*i = j, in increasing n.
 
@@ -153,14 +134,19 @@ def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, 
     fractional part of n*p/q equals j/q exactly.
 
     Raises:
-        NotCoprime, JOutOfRange, ValueError.
+        NotCoprime: if gcd(p, q) != 1.
+        JOutOfRange: unless 1 <= j <= q - 1.
+        ValueError: unless 0 < p < q are integers and count >= 1.
     """
-    n0, _ = bezout_solve(p, q)
+    if not (isinstance(p, int) and isinstance(q, int) and 0 < p < q):
+        raise ValueError(f"need integers 0 < p < q, got p={p!r}, q={q!r}")
+    if math.gcd(p, q) != 1:
+        raise NotCoprime(f"p = {p} and q = {q} share factor {math.gcd(p, q)}")
     if not 1 <= j <= q - 1:
         raise JOutOfRange(f"j must lie in [1, {q - 1}], got {j}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    first = (j * n0) % q
+    first = j * pow(p, -1, q) % q
     return [(first + k * q, ((first + k * q) * p - j) // q) for k in range(count)]
 
 
@@ -282,7 +268,9 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
         AlphaOutOfRange, ValueError.
     """
     _check_alpha(alpha)
-    y = _exact_y(x)
+    if not -1 < x < 1:
+        raise ValueError(f"x = {x} outside (-1, 1)")
+    y = (Fraction(x) + 1) / 2
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
 

@@ -15,7 +15,6 @@ from lamconvex import (
     SearchCapExceeded,
     StepLaminate,
     UndefinedAtBreakpoint,
-    bezout_solve,
     blend,
     congruence_solutions,
     convergence_table,
@@ -180,6 +179,21 @@ class TestInterleave:
         worst = max(abs(float(want - g)) for want, g in zip(exact_parameters(t), got))
         assert worst <= 1e-12, worst
 
+    def test_peak_memory_is_near_the_result(self):
+        # the cell parts stream into from_pieces, so no list of all the
+        # pieces sits next to the result: here the traced peak is 1.20
+        # times what the result keeps
+        rng = random.Random(3)
+        t1, t2 = ply_laminate(rng, 28), ply_laminate(rng, 32)
+        tracemalloc.start()
+        try:
+            result = interleave(t1, t2, 0.3, 2**16)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ply_count > 80_000
+        assert peak <= 1.5 * retained, f"peak {peak / retained:.2f} times the result"
+
 
 def loop_interleave(t1, t2, alpha, n):
     """The per-part loop reference of `interleave`: (breakpoints, angles).
@@ -282,22 +296,22 @@ def brute_force_bezout(p, q):
 class TestBezout:
     @pytest.mark.parametrize("p,q,expected", [(1, 2, (1, 0)), (3, 7, (5, 2)), (2, 5, (3, 1))])
     def test_examples(self, p, q, expected):
-        assert bezout_solve(p, q) == expected
-        assert bezout_solve(p, q) == brute_force_bezout(p, q)
+        assert congruence_solutions(p, q, 1, 1)[0] == expected
+        assert congruence_solutions(p, q, 1, 1)[0] == brute_force_bezout(p, q)
 
     def test_smallest_solution(self):
         for q in range(2, 40):
             for p in range(1, q):
                 if math.gcd(p, q) == 1:
-                    assert bezout_solve(p, q) == brute_force_bezout(p, q)
+                    assert congruence_solutions(p, q, 1, 1)[0] == brute_force_bezout(p, q)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(NotCoprime):
-            bezout_solve(2, 4)
+            congruence_solutions(2, 4, 1, 1)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            bezout_solve(3, 2)
+            congruence_solutions(3, 2, 1, 1)
 
 
 class TestCongruenceSolutions:
@@ -311,7 +325,7 @@ class TestCongruenceSolutions:
     def test_scaled_family_starts_at_product(self):
         # the scaling argument's certificates j * (n, i), over the Bezout
         # solutions (n, i) of n*p - q*i = 1, are among the solutions
-        n0, i0 = bezout_solve(3, 7)
+        n0, i0 = congruence_solutions(3, 7, 1, 1)[0]
         scaled = [(2 * (n0 + k * 7), 2 * (i0 + k * 3)) for k in range(3)]
         assert scaled == [(10, 4), (24, 10), (38, 16)]
         assert set(scaled) <= set(congruence_solutions(3, 7, 2, 6))

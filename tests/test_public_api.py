@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "StepLaminate",
     "UndefinedAtBreakpoint",
     "WitnessTable",
-    "bezout_solve",
     "blend",
     "congruence_solutions",
     "convergence_table",
@@ -43,7 +42,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 31
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 30
 
 
 def test_star_import_binds_exactly_the_public_names():
