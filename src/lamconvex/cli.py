@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .convexity import DEFAULT_TOLERANCE, convex_combine, verify_combination
 from .errors import InvariantViolation, LamConvexError, ParseError
@@ -77,6 +76,8 @@ def _fmt(value) -> str:
 def _parse_x(text: str):
     """'p/q' becomes an exact Fraction; anything else parses as float."""
     if "/" in text:
+        from fractions import Fraction
+
         num, _, den = text.partition("/")
         try:
             return Fraction(int(num.strip()), int(den.strip()))
@@ -178,6 +179,8 @@ _OSC_T2 = StepLaminate((-1.0, 1.0), (math.pi / 2,))
 
 
 def cmd_oscillate(args) -> tuple[dict, list]:
+    from fractions import Fraction
+
     table = oscillation_witness(_OSC_T1, _OSC_T2, args.alpha, args.x,
                                 args.count, cap=args.cap)
     # exact fractions print as 'p/q' for a rational --x, as numbers for a float
@@ -268,9 +271,11 @@ def main(argv=None) -> int:
     verdicts = [{"name": name, "value": value, "tolerance": tolerance,
                  "passed": value <= tolerance} for name, value, tolerance in verdicts]
     passed = all(v["passed"] for v in verdicts)
-    # every option parsed, a rational --x as 'p/q' and the --n tuple as a list
-    inputs = {key: str(value) if isinstance(value, Fraction)
-              else list(value) if isinstance(value, tuple) else value
+    # every option parsed: the --n tuple as a list, any other value that is
+    # not a JSON scalar (a rational --x) as its str, 'p/q'
+    inputs = {key: list(value) if isinstance(value, tuple)
+              else value if value is None or isinstance(value, (str, int, float))
+              else str(value)
               for key, value in vars(args).items()
               if key not in ("command", "func", "json")}
     doc = {"operation": args.command, "inputs": inputs, "payload": payload,

@@ -113,14 +113,17 @@ def _unique_fields(pairs: list) -> dict:
     return data
 
 
-def _write_floats(fh, values, convert=None) -> None:
-    """Write the items of a JSON float list, 8192 values at a time."""
+def _write_floats(fh, values, texts=None) -> None:
+    """Write the items of a JSON float list, 8192 values at a time, each
+    as `float.__repr__` writes it or, given `texts`, as texts[value]. A
+    zero is written as itself: 0.0 == -0.0, so both would share one key."""
     for start in range(0, len(values), 8192):
         block = values[start:start + 8192]
         if start:
             fh.write(_ITEM_SEP)
-        fh.write(_ITEM_SEP.join(map(float.__repr__,
-                                    block if convert is None else map(convert, block))))
+        fh.write(_ITEM_SEP.join(
+            map(float.__repr__, block) if texts is None
+            else [texts[v] if v else repr(v) for v in block]))
 
 
 def save_laminate(t: StepLaminate, path: str | os.PathLike,
@@ -141,7 +144,10 @@ def save_laminate(t: StepLaminate, path: str | os.PathLike,
         fh.write('{\n  "breakpoints": [\n    ')
         _write_floats(fh, t.breakpoints)
         fh.write('\n  ],\n  "angles_deg": [\n    ')
-        _write_floats(fh, t.angles, math.degrees)
+        # one degree text per distinct nonzero angle, not one per ply;
+        # math.degrees maps a zero to itself, sign included
+        degrees = {a: repr(math.degrees(a)) for a in set(t.angles) if a}
+        _write_floats(fh, t.angles, degrees)
         fh.write("\n  ]")
         if name is not None:
             fh.write(',\n  "name": ' + json.dumps(name))

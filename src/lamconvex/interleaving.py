@@ -25,7 +25,10 @@ closed-form parameters of the ideal n-th interleaving, correctly rounded
 given the trig floats, at O(plies) cost per n whatever n is: per source
 breakpoint, the moments of the "first fraction alpha of each cell"
 indicator come from power sums over the whole cells below it plus the
-one partial cell. `interleave` builds the real laminate for one n.
+one partial cell. The table is worked in integers only, each parameter
+an int quotient rounded once, so only the witness search, the one user
+of Fraction, imports `fractions`. `interleave` builds the real laminate
+for one n.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from operator import mul
 
 from ._record import Record
@@ -46,8 +48,6 @@ from .errors import (
 )
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
 from .step import StepLaminate
-
-Number = Fraction | int | float
 
 DEFAULT_SEARCH_CAP = 10_000_000
 
@@ -169,8 +169,8 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def find_n_in_region(y: Number, lo: float, hi: float, n_min: int = 1,
-                     cap: int = DEFAULT_SEARCH_CAP) -> int:
+def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
+                     n_min: int = 1, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Smallest n >= n_min whose fractional part of n*y lies strictly in
     (lo, hi), provided it is at most `cap`, the largest index accepted.
 
@@ -186,6 +186,8 @@ def find_n_in_region(y: Number, lo: float, hi: float, n_min: int = 1,
             names it).
         ValueError: for a malformed region or n_min < 1.
     """
+    from fractions import Fraction
+
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError(f"region must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
     if n_min < 1:
@@ -237,10 +239,10 @@ class WitnessTable(Record):
     """
 
     __slots__ = ("x", "alpha", "below", "above", "undefined_at", "angle1", "angle2")
-    x: Number
+    x: Fraction | int | float
     alpha: float
-    below: tuple[tuple[int, Number], ...]
-    above: tuple[tuple[int, Number], ...]
+    below: tuple[tuple[int, Fraction | int | float], ...]
+    above: tuple[tuple[int, Fraction | int | float], ...]
     undefined_at: tuple[int, ...]
     angle1: float | None
     angle2: float | None
@@ -255,7 +257,7 @@ class WitnessTable(Record):
 
 
 def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
-                        x: Number, count: int,
+                        x: Fraction | int | float, count: int,
                         cap: int = DEFAULT_SEARCH_CAP) -> WitnessTable:
     """The first `count` witness indices of both regions at the point x,
     each at most `cap`, found in exact arithmetic for any x.
@@ -267,6 +269,8 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
         SearchCapExceeded: from either region's search.
         AlphaOutOfRange, ValueError.
     """
+    from fractions import Fraction
+
     _check_alpha(alpha)
     if not -1 < x < 1:
         raise ValueError(f"x = {x} outside (-1, 1)")
@@ -310,7 +314,16 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
     )
 
 
-def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
+def _over_power_of_two(rows: Sequence[Sequence[float]]) -> tuple[list[list[int]], int]:
+    """The floats of the rows as integers over one power of two, 2^bits,
+    and bits: every finite float is a dyadic rational."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    bits = max(den.bit_length() - 1 for r in ratios for _, den in r)
+    return [[num << (bits - den.bit_length() + 1) for num, den in r] for r in ratios], bits
+
+
+def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate,
+                            alpha: Fraction | int | float,
                             n_list: Sequence[int]) -> list[LamParams]:
     """Exact parameters of the n-th interleaved laminate for each n, in
     O(plies) integer steps per n, without building it.
@@ -322,21 +335,20 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
     its full moment minus that. Everything is an integer over one scale
     S = 2^bits * n * den(alpha): breakpoints are dyadic, a cell is 2S/n wide
     and its first part alpha times that. Sums of hi^m - lo^m (m = 1, 2, 3)
-    are kept per distinct angle; each parameter is the exact sum of those
-    times the kernel's trig floats, rounded once.
+    are kept per distinct angle. The kernel's trig floats are integers over
+    one power of two, 2^tb, so each parameter is one integer sum over one
+    integer denominator, which int true division rounds once, correctly.
     """
-    a = Fraction(alpha)
-    ratios = [[b.as_integer_ratio() for b in t.breakpoints] for t in (t1, t2)]
-    bits = max(den.bit_length() - 1 for r in ratios for _, den in r)
-    dyadic = [[num << (bits - den.bit_length() + 1) for num, den in r] for r in ratios]
+    a_num, a_den = alpha.as_integer_ratio()
+    dyadic, bits = _over_power_of_two([t1.breakpoints, t2.breakpoints])
     angles = list(dict.fromkeys(t1.angles + t2.angles))
-    trig = [[Fraction(v) for v in row] for row in _trig_rows(angles)]
+    trig, tb = _over_power_of_two(_trig_rows(angles))
     out = []
     for n in n_list:
-        unit = n * a.denominator
+        unit = n * a_den
         scale = unit << bits
-        cell = 2 * a.denominator << bits
-        w = 2 * a.numerator << bits
+        cell = 2 * a_den << bits
+        w = 2 * a_num << bits
         sums = {angle: [0, 0, 0] for angle in angles}
         for t, points, first in ((t1, dyadic[0], True), (t2, dyadic[1], False)):
             xs = [p * unit for p in points]
@@ -366,8 +378,9 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate, alpha: Number,
         # leave 1/2 for every order
         flat = []
         for m in range(3):
-            moments = [Fraction(s[m], 2 * scale ** (m + 1)) for s in sums.values()]
-            flat += [float(sum(map(mul, row, moments))) for row in trig]
+            col = [s[m] for s in sums.values()]
+            den = 2 * scale ** (m + 1) << tb
+            flat += [sum(map(mul, row, col)) / den for row in trig]
         out.append(LamParams(tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12])))
     return out
 
@@ -403,7 +416,8 @@ class ConvergenceRow(Record):
         return max(self.residuals)
 
 
-def convergence_table(t1: StepLaminate, t2: StepLaminate, alpha: Number,
+def convergence_table(t1: StepLaminate, t2: StepLaminate,
+                      alpha: Fraction | int | float,
                       n_list: Sequence[int],
                       swap_limit: bool = False) -> list[ConvergenceRow]:
     """Parameters of the interleaved laminates for each n, with distances

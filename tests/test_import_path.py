@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: no import and no
 subcommand loads numpy, nor dataclasses, inspect or typing, which cost
-start-up time on every command.
+start-up time on every command. Only `oscillate`, whose witness search
+works in exact rationals, loads fractions (and with it decimal).
 
 Each check runs in a fresh interpreter: this test process has numpy
 loaded already (the test oracles use it).
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,35 +61,51 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 """
 
 
-def run_every_subcommand(tmp_path, *options: str) -> tuple[list[int], list[str]]:
-    """Exit codes of `params`, `combine --out`, `gsequence` and
-    `oscillate` run through `main` in one fresh interpreter, and the
-    modules loaded from the start of the script on."""
+def subcommand_argvs(tmp_path) -> list[list[str]]:
+    """Command lines of `params`, `combine --out`, `gsequence` and
+    `oscillate`, the first three on two 2-ply files written to tmp_path."""
     ply1, ply2 = tmp_path / "a.json", tmp_path / "b.json"
     ply1.write_text(json.dumps({"breakpoints": [-1, 0, 1], "angles_deg": [0, 90]}))
     ply2.write_text(json.dumps({"breakpoints": [-1, 0.25, 1], "angles_deg": [45, -45]}))
-    argvs = [
+    return [
         ["params", str(ply1), "--json"],
         ["combine", str(ply1), str(ply2), "--alpha", "0.3",
          "--out", str(tmp_path / "out.json"), "--json"],
         ["gsequence", str(ply1), str(ply2), "--alpha", "0.3", "--n", "4,64", "--json"],
         ["oscillate", "--x=-1/3", "--alpha", "0.5", "--json"],
     ]
+
+
+def run_subcommands(tmp_path, argvs, *options: str) -> tuple[list[int], list[str]]:
+    """Exit codes of the command lines run through `main` in one fresh
+    interpreter, and the modules loaded from the start of the script on."""
     return run_python(SUBCOMMANDS.format(argvs=argvs), tmp_path, *options)
 
 
 def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
-    codes, _ = run_every_subcommand(tmp_path)
+    codes, _ = run_subcommands(tmp_path, subcommand_argvs(tmp_path))
     assert codes == [0, 0, 0, 0]
     assert json.loads((tmp_path / "out.json").read_text())["breakpoints"][0] == -1.0
 
 
 def test_no_subcommand_loads_dataclasses_inspect_or_typing(tmp_path):
     # -S: no site module, which on some installs loads typing by itself
-    codes, loaded = run_every_subcommand(tmp_path, "-S")
+    codes, loaded = run_subcommands(tmp_path, subcommand_argvs(tmp_path), "-S")
     assert codes == [0, 0, 0, 0]
     assert {"lamconvex.cli", "argparse", "fractions"} <= set(loaded)
     assert not {"dataclasses", "inspect", "typing"} & set(loaded)
+
+
+@pytest.mark.parametrize("command", ["params", "combine", "gsequence", "oscillate"])
+def test_only_oscillate_loads_fractions_and_decimal(tmp_path, command):
+    # each subcommand alone, import of the CLI included; -S as above
+    argv = next(a for a in subcommand_argvs(tmp_path) if a[0] == command)
+    codes, loaded = run_subcommands(tmp_path, [argv], "-S")
+    assert codes == [0]
+    if command == "oscillate":
+        assert "fractions" in loaded
+    else:
+        assert not {"fractions", "decimal"} & set(loaded)
 
 
 THREADS = """
