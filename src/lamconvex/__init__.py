@@ -14,12 +14,8 @@ from .convexity import (
     verify_combination,
 )
 from .errors import (
-    AlphaOutOfRange,
-    DegenerateInterval,
     InvariantViolation,
-    JOutOfRange,
     LamConvexError,
-    NotCoprime,
     ParseError,
     SearchCapExceeded,
     UndefinedAtBreakpoint,
@@ -53,15 +49,11 @@ from .step import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaOutOfRange",
     "CombinationReport",
     "ConvergenceRow",
-    "DegenerateInterval",
     "InvariantViolation",
-    "JOutOfRange",
     "LamConvexError",
     "LamParams",
-    "NotCoprime",
     "ParseError",
     "RefinedPair",
     "SearchCapExceeded",

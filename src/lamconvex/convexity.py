@@ -38,7 +38,6 @@ from collections.abc import Iterator
 from itertools import islice
 
 from ._record import Record
-from .errors import AlphaOutOfRange, DegenerateInterval
 from .parameters import LamParams, blend, lamination_parameters
 from .step import StepLaminate, refine
 
@@ -82,14 +81,14 @@ def matched_split(lo: float, hi: float, fraction: float) -> tuple[float, float, 
     each other or an end.
 
     Raises:
-        DegenerateInterval: if lo >= hi, or hi - lo is not finite (an
-            endpoint is not, or the span overflows).
-        AlphaOutOfRange: if fraction is not strictly inside (0, 1).
+        ValueError: if lo >= hi, or hi - lo is not finite (an endpoint is
+            not, or the span overflows); or if fraction is not strictly
+            inside (0, 1).
     """
     if not 0.0 < hi - lo < math.inf:
-        raise DegenerateInterval(f"cannot split interval ({lo}, {hi})")
+        raise ValueError(f"cannot split interval ({lo}, {hi})")
     if not 0.0 < fraction < 1.0:
-        raise AlphaOutOfRange(f"fraction must lie in (0, 1), got {fraction}")
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     f = fraction
     root = math.sqrt(8.0 * (2.0 - f) * (1.0 + f))
     if f < 0.5:
@@ -124,10 +123,10 @@ def convex_combine(t1: StepLaminate, t2: StepLaminate, alpha: float) -> StepLami
     angle objects themselves.
 
     Raises:
-        AlphaOutOfRange: if alpha is outside [0, 1].
+        ValueError: if alpha is outside [0, 1].
     """
     if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if alpha == 0.0 or 1.0 - alpha == 1.0:
         # weight exactly 1 on t1 in floating point: t1 is the combination
         return t1

@@ -1,29 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An argument outside a function's domain (a weight, a fraction, an
+interval, an integer pair or count) raises the built-in ValueError.
+These classes cover the rest: data that breaks a laminate's invariants,
+a malformed file, a point where a step function is undefined, and an
+index search that passes its cap.
+"""
 
 
 class LamConvexError(Exception):
     """Base class for all lamconvex errors."""
 
 
-class DegenerateInterval(LamConvexError):
-    """An interval (lo, hi) with lo >= hi or non-finite endpoints."""
-
-
-class AlphaOutOfRange(LamConvexError):
-    """A mixing weight outside its admissible range."""
-
-
 class UndefinedAtBreakpoint(LamConvexError):
     """Evaluation requested exactly at a partition point, where the
     step function has no value."""
-
-
-class NotCoprime(LamConvexError):
-    """Integer pair (p, q) with gcd(p, q) != 1 where coprimality is required."""
-
-
-class JOutOfRange(LamConvexError):
-    """Target residue j outside the range 1 .. q-1."""
 
 
 class SearchCapExceeded(LamConvexError):
@@ -35,10 +26,6 @@ class SearchCapExceeded(LamConvexError):
     exists at all; or the first admissible index lies above the cap, and
     the message names it.
     """
-
-    def __init__(self, message: str, cap: int | None = None):
-        super().__init__(message)
-        self.cap = cap
 
 
 class InvariantViolation(LamConvexError):

@@ -39,13 +39,7 @@ from collections.abc import Iterator, Sequence
 from operator import mul
 
 from ._record import Record
-from .errors import (
-    AlphaOutOfRange,
-    JOutOfRange,
-    NotCoprime,
-    SearchCapExceeded,
-    UndefinedAtBreakpoint,
-)
+from .errors import SearchCapExceeded, UndefinedAtBreakpoint
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
 from .step import StepLaminate
 
@@ -57,7 +51,7 @@ MAX_CELLS = 1 << 20
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _check_n(n: int, most: int | None = None) -> None:
@@ -134,16 +128,15 @@ def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, 
     fractional part of n*p/q equals j/q exactly.
 
     Raises:
-        NotCoprime: if gcd(p, q) != 1.
-        JOutOfRange: unless 1 <= j <= q - 1.
-        ValueError: unless 0 < p < q are integers and count >= 1.
+        ValueError: unless 0 < p < q are coprime integers, 1 <= j <= q - 1
+            and count >= 1.
     """
     if not (isinstance(p, int) and isinstance(q, int) and 0 < p < q):
         raise ValueError(f"need integers 0 < p < q, got p={p!r}, q={q!r}")
     if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p = {p} and q = {q} share factor {math.gcd(p, q)}")
+        raise ValueError(f"p = {p} and q = {q} share factor {math.gcd(p, q)}")
     if not 1 <= j <= q - 1:
-        raise JOutOfRange(f"j must lie in [1, {q - 1}], got {j}")
+        raise ValueError(f"j must lie in [1, {q - 1}], got {j}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     first = j * pow(p, -1, q) % q
@@ -199,7 +192,7 @@ def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
     if first > last:
         raise SearchCapExceeded(
             f"no n has fractional part of n*{frac} in ({lo}, {hi}): the region "
-            f"contains no multiple of 1/{q}", cap=cap)
+            f"contains no multiple of 1/{q}")
     shift = n_min * p % q
 
     def count(k: int) -> int:
@@ -218,7 +211,7 @@ def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
     if n > cap:
         raise SearchCapExceeded(
             f"no n in [{n_min}, {cap}] has fractional part of n*{frac} in "
-            f"({lo}, {hi}); the first is n = {n}", cap=cap)
+            f"({lo}, {hi}); the first is n = {n}")
     return n
 
 
@@ -267,7 +260,7 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
 
     Raises:
         SearchCapExceeded: from either region's search.
-        AlphaOutOfRange, ValueError.
+        ValueError: unless 0 < alpha < 1, -1 < x < 1 and count >= 1.
     """
     from fractions import Fraction
 

@@ -15,7 +15,7 @@ from itertools import compress, islice
 from operator import lt, ne
 
 from ._record import Record
-from .errors import DegenerateInterval, InvariantViolation, UndefinedAtBreakpoint
+from .errors import InvariantViolation, UndefinedAtBreakpoint
 
 
 class StepLaminate(Record):
@@ -197,14 +197,15 @@ def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:
     every difference is taken of the halved coordinates.
 
     Raises:
-        DegenerateInterval: if the span is empty (first >= last).
-        InvariantViolation: if the input is too short or not increasing.
+        InvariantViolation: if the input is too short, its ends are not
+            finite, or it is not strictly increasing (so an empty or
+            reversed span raises too).
     """
     if len(raw) < 2:
         raise InvariantViolation("need at least two coordinates", field="breakpoints")
     lo, hi = float(raw[0]), float(raw[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DegenerateInterval(f"cannot normalize span ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvariantViolation(f"cannot normalize span ({lo}, {hi})", field="breakpoints")
     if not all(map(lt, raw, islice(raw, 1, None))):
         i = list(map(lt, raw, islice(raw, 1, None))).index(False)
         raise InvariantViolation(

@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lamconvex import (
-    AlphaOutOfRange,
     LamParams,
     StepLaminate,
     UndefinedAtBreakpoint,
@@ -134,11 +133,11 @@ def interleave_value(t1, t2, alpha, n, x):
     Raises:
         UndefinedAtBreakpoint: if x falls on a partition point of the
             interleaving, or on a breakpoint of the source laminate.
-        AlphaOutOfRange: unless 0 < alpha < 1.
-        ValueError: if x is outside (-1, 1) or n is not an integer >= 1.
+        ValueError: unless 0 < alpha < 1, -1 < x < 1 and n is an integer
+            >= 1.
     """
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not -1 < x < 1:

@@ -102,6 +102,17 @@ class TestParams:
         code, _, _ = run_cli(capsys, "params", raw, "--normalize")
         assert code == 0
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("breakpoints", [[5, 3], [2, 2]])
+    def test_empty_or_reversed_span_is_a_file_error(self, capsys, tmp_path,
+                                                     breakpoints, normalize):
+        bad = tmp_path / "span.json"
+        bad.write_text(json.dumps({"breakpoints": breakpoints, "angles_deg": [0]}))
+        code, out, err = run_cli(capsys, "params", bad, *(["--normalize"] if normalize else []))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCombine:
     def test_cross_pair_passes(self, capsys, cross_pair, tmp_path):

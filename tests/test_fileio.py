@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -19,6 +20,15 @@ from lamconvex import (
 )
 
 from _helpers import laminate_to_dict, max_param_diff, ply_laminate, random_laminate
+
+
+# finite floats, the extremes and subnormals drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min,
+                     1e308, -1e308, sys.float_info.max, -sys.float_info.max]),
+)
 
 
 def write_json(path, payload):
@@ -126,6 +136,30 @@ class TestLoad:
         t = load_laminate(path, normalize=True)
         assert t.breakpoints == (-1.0, -0.5, 1.0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_normalize_fails_only_on_the_data(self, data):
+        # any finite coordinates, in any order, with repeats and extremes:
+        # a laminate or a data error (exit 2 in the CLI), never anything else
+        raw = data.draw(st.lists(FINITE, max_size=8))
+        order = data.draw(st.sampled_from(["drawn", "sorted", "reversed", "repeat"]))
+        if order == "sorted":
+            raw.sort()
+        elif order == "reversed":
+            raw.sort(reverse=True)
+        elif order == "repeat" and raw:
+            raw.sort()
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw.insert(i, raw[i])
+        doc = {"breakpoints": raw, "angles_deg": [0.0] * max(1, len(raw) - 1)}
+        try:
+            t = laminate_from_dict(doc, normalize=True)
+        except (ParseError, InvariantViolation) as exc:
+            assert exc.field == "breakpoints"
+        else:
+            assert all(map(float.__lt__, raw, raw[1:]))
+            assert t.breakpoints[0] == -1.0 and t.breakpoints[-1] == 1.0
+
     def test_not_an_object(self):
         with pytest.raises(ParseError):
             laminate_from_dict([1, 2, 3])
@@ -204,7 +238,7 @@ class TestSave:
     def test_overflowing_angle_keeps_existing_file(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_bytes(b"previous contents")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overflows in degrees"):
             save_laminate(self.OVERFLOWING, path)
         assert path.read_bytes() == b"previous contents"
 

@@ -5,17 +5,14 @@ import ast
 from pathlib import Path
 
 import lamconvex
+from lamconvex import errors
 
 PUBLIC_NAMES = [
-    "AlphaOutOfRange",
     "CombinationReport",
     "ConvergenceRow",
-    "DegenerateInterval",
     "InvariantViolation",
-    "JOutOfRange",
     "LamConvexError",
     "LamParams",
-    "NotCoprime",
     "ParseError",
     "RefinedPair",
     "SearchCapExceeded",
@@ -42,7 +39,18 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 30
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 26
+
+
+def test_errors_defines_five_classes():
+    # a bad argument raises the built-in ValueError; these cover the rest
+    classes = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    assert sorted(classes) == ["InvariantViolation", "LamConvexError", "ParseError",
+                               "SearchCapExceeded", "UndefinedAtBreakpoint"]
+    for name in classes:
+        assert issubclass(getattr(errors, name), errors.LamConvexError)
+        assert getattr(lamconvex, name) is getattr(errors, name)
 
 
 def test_star_import_binds_exactly_the_public_names():

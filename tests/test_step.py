@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
-    DegenerateInterval,
     InvariantViolation,
     StepLaminate,
     UndefinedAtBreakpoint,
@@ -118,10 +117,13 @@ class TestMoments:
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (0.5, -0.5), (0.0, math.inf), (math.nan, 1.0)])
     def test_rejects_degenerate(self, lo, hi):
-        # an empty or non-finite span; matched_split makes the same check
-        # (TestMatchedSplit::test_rejects_degenerate_interval)
-        with pytest.raises(DegenerateInterval):
+        # an empty or reversed span fails the order check; a non-finite
+        # end fails before it
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        message = "not strictly increasing at index 1" if finite else "cannot normalize span"
+        with pytest.raises(InvariantViolation, match=message) as info:
             normalize_breakpoints((lo, hi))
+        assert info.value.field == "breakpoints"
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
@@ -223,7 +225,7 @@ class TestStepLaminate:
 
     def test_value_outside_domain(self):
         t = StepLaminate((-1.0, 1.0), (0.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
             t.value_at(1.5)
 
     def test_from_pieces_drops_leading_sliver(self):
@@ -480,8 +482,9 @@ class TestNormalize:
         assert normalize_breakpoints((0.0, 1.0, 4.0)) == (-1.0, -0.5, 1.0)
 
     def test_rejects_empty_span(self):
-        with pytest.raises(DegenerateInterval):
+        with pytest.raises(InvariantViolation, match="not strictly increasing") as info:
             normalize_breakpoints((2.0, 2.0))
+        assert info.value.index == 1
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvariantViolation) as info:
