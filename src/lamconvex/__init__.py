@@ -42,7 +42,6 @@ from .parameters import (
 from .step import (
     RefinedPair,
     StepLaminate,
-    normalize_breakpoints,
     refine,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "lamination_parameters",
     "load_laminate",
     "matched_split",
-    "normalize_breakpoints",
     "oscillation_witness",
     "refine",
     "save_laminate",

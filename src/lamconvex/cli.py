@@ -136,7 +136,7 @@ def cmd_combine(args) -> tuple[dict, list]:
     t1 = load_laminate(args.file1, normalize=args.normalize)
     t2 = load_laminate(args.file2, normalize=args.normalize)
     result = convex_combine(t1, t2, args.alpha)
-    check = verify_combination(t1, t2, args.alpha, result, tolerance=args.tolerance)
+    check = verify_combination(t1, t2, args.alpha, result)
     if args.out is not None:
         save_laminate(result, args.out, name=f"combine(alpha={args.alpha})")
     payload = {
@@ -146,7 +146,7 @@ def cmd_combine(args) -> tuple[dict, list]:
         "residuals": list(check.residuals),
         "max_residual": check.max_residual,
     }
-    return payload, [("combination_residual", check.max_residual, check.tolerance)]
+    return payload, [("combination_residual", check.max_residual, args.tolerance)]
 
 
 def cmd_gsequence(args) -> tuple[dict, list]:

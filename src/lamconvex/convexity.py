@@ -42,12 +42,12 @@ from .parameters import LamParams, blend, lamination_parameters
 from .step import StepLaminate, refine
 
 DEFAULT_TOLERANCE = 1e-12
-"""Verdict tolerance of verify_combination and of the CLI's --tolerance:
-an empirical guard, not a proven bound. The worst residual measured on
-valid input is 9.3e-16 over 20,000 `float_laminates` pairs (alphas from
-1e-17 to 1 - 1e-16) and 1.8e-14 over the 25 `combine-large` operations
-of seeds 1-5 (2k-20k plies per file); the benchmark's checker requires
-this value.
+"""Default of the CLI's --tolerance, which bounds `combine`'s largest
+residual: an empirical guard, not a proven bound. The worst residual
+measured on valid input is 9.3e-16 over 20,000 `float_laminates` pairs
+(alphas from 1e-17 to 1 - 1e-16) and 1.8e-14 over the 25 `combine-large`
+operations of seeds 1-5 (2k-20k plies per file); the benchmark's
+checker requires this value.
 
 The proven bound grows with the number R of regions whose two angles
 differ: a residual is at most (9R/2 + 120) u, u = 2^-53. A split point
@@ -170,31 +170,25 @@ def _pieces(t1: StepLaminate, t2: StepLaminate,
 
 
 class CombinationReport(Record):
-    """Componentwise check of the convex-combination identity."""
+    """Componentwise residuals of the convex-combination identity; whether
+    they pass is the caller's verdict."""
 
-    __slots__ = ("alpha", "expected", "actual", "residuals", "tolerance")
+    __slots__ = ("alpha", "expected", "actual", "residuals")
     alpha: float
     expected: LamParams
     actual: LamParams
     residuals: tuple[float, ...]
-    tolerance: float
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
 
 def verify_combination(t1: StepLaminate, t2: StepLaminate, alpha: float,
-                       result: StepLaminate,
-                       tolerance: float = DEFAULT_TOLERANCE) -> CombinationReport:
+                       result: StepLaminate) -> CombinationReport:
     """Residuals of params(result) against
-    (1 - alpha) * params(t1) + alpha * params(t2), with a verdict at the
-    given tolerance."""
+    (1 - alpha) * params(t1) + alpha * params(t2)."""
     expected = blend(lamination_parameters(t1), lamination_parameters(t2), 1.0 - alpha)
     actual = lamination_parameters(result)
     residuals = tuple(abs(e - a) for e, a in zip(expected.flat(), actual.flat()))
-    return CombinationReport(alpha, expected, actual, residuals, tolerance)
+    return CombinationReport(alpha, expected, actual, residuals)

@@ -16,9 +16,11 @@ final newline. That is `json.dump(data, fh, indent=2)` plus a newline.
 import json
 import math
 import os
+from itertools import islice
+from operator import lt
 
-from .errors import ParseError
-from .step import StepLaminate, normalize_breakpoints
+from .errors import InvariantViolation, ParseError
+from .step import StepLaminate
 
 _REQUIRED = ("breakpoints", "angles_deg")
 _ALLOWED = frozenset(_REQUIRED) | {"name"}
@@ -60,8 +62,41 @@ def laminate_from_dict(data: object, normalize: bool = False) -> StepLaminate:
     breakpoints = _number_list(data, "breakpoints")
     angles_deg = _number_list(data, "angles_deg")
     if normalize:
-        breakpoints = list(normalize_breakpoints(breakpoints))
+        breakpoints = _normalized(breakpoints)
     return StepLaminate(tuple(breakpoints), _radians(angles_deg))
+
+
+def _normalized(raw: list[float]) -> list[float]:
+    """Strictly increasing file coordinates mapped affinely onto [-1, 1]:
+    the ends exactly to -1.0 and 1.0, each interior z to
+    (z - lo)/(hi - lo) * 2 - 1, of the halved coordinates where hi - lo
+    overflows. Each point is within 6.5u of its exact place (u = 2^-53)
+    and the map is monotone, so neighbours never cross; but two closer
+    than 2^-50 of the span may round to one float, and the error then
+    names their file indices and values.
+
+    Raises:
+        InvariantViolation: fewer than two coordinates, coordinates not
+            strictly increasing, or neighbours that map to one float.
+    """
+    if len(raw) < 2:
+        raise InvariantViolation("need at least two coordinates", field="breakpoints")
+    if not all(map(lt, raw, islice(raw, 1, None))):
+        i = list(map(lt, raw, islice(raw, 1, None))).index(False)
+        raise InvariantViolation(
+            f"coordinates not strictly increasing at index {i + 1}",
+            field="breakpoints", index=i + 1)
+    lo, hi = raw[0], raw[-1]
+    scale = 1.0 if hi - lo < math.inf else 0.5
+    lo *= scale
+    span = hi * scale - lo
+    mapped = [-1.0, *[(z * scale - lo) / span * 2.0 - 1.0 for z in raw[1:-1]], 1.0]
+    if not all(map(lt, mapped, islice(mapped, 1, None))):
+        i = list(map(lt, mapped, islice(mapped, 1, None))).index(False)
+        raise InvariantViolation(
+            f"breakpoints[{i}] = {raw[i]} and breakpoints[{i + 1}] = {raw[i + 1]}"
+            " map to the same point of [-1, 1]", field="breakpoints", index=i + 1)
+    return mapped
 
 
 # a zero angle in radians by its sign, math.copysign(1.0, zero)

@@ -188,33 +188,3 @@ def _float_tuple(values: Iterable[float]) -> tuple[float, ...]:
         return values
     return tuple(map(float, values))
 
-
-def normalize_breakpoints(raw: Sequence[float]) -> tuple[float, ...]:
-    """Affinely map an increasing coordinate sequence onto [-1, 1].
-
-    The endpoints map exactly to -1.0 and 1.0; interior points map to
-    (z - z_min)/(z_max - z_min) * 2 - 1. Where z_max - z_min overflows,
-    every difference is taken of the halved coordinates.
-
-    Raises:
-        InvariantViolation: if the input is too short, its ends are not
-            finite, or it is not strictly increasing (so an empty or
-            reversed span raises too).
-    """
-    if len(raw) < 2:
-        raise InvariantViolation("need at least two coordinates", field="breakpoints")
-    lo, hi = float(raw[0]), float(raw[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvariantViolation(f"cannot normalize span ({lo}, {hi})", field="breakpoints")
-    if not all(map(lt, raw, islice(raw, 1, None))):
-        i = list(map(lt, raw, islice(raw, 1, None))).index(False)
-        raise InvariantViolation(
-            f"coordinates not strictly increasing at index {i + 1}",
-            field="breakpoints", index=i + 1)
-    scale = 1.0 if hi - lo < math.inf else 0.5
-    lo *= scale
-    span = hi * scale - lo
-    mapped = [-1.0]
-    mapped.extend((float(z) * scale - lo) / span * 2.0 - 1.0 for z in raw[1:-1])
-    mapped.append(1.0)
-    return tuple(mapped)

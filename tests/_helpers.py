@@ -17,7 +17,6 @@ from lamconvex import (
     StepLaminate,
     UndefinedAtBreakpoint,
     lamination_parameters,
-    refine,
 )
 
 
@@ -186,16 +185,20 @@ def combine_reference(t1, t2, alpha):
 
     Each input's angle on a ply is the first angle of the ply's run of
     angles that compare equal (`==`), so a run mixing 0.0 and -0.0 has
-    its first zero throughout. Neighbouring refinement intervals whose
-    angle pairs compare equal join into one region. A region whose angles agree is one piece with t1's angle. Any other
-    region gets one matched split, by the package's formula written out
-    with no ordering check, with the input of the smaller weight on the
-    matched set E: four (right, angle) pieces [E, rest, E, rest] with E
-    anchored at the region's left end or, when the last piece emitted so
-    far has rest's angle, the mirror [rest, E, rest, E] with E anchored
-    at its right end. A piece is kept when its right edge lies above the
-    last kept edge; a kept piece whose angle equals (`==`) the last kept
-    angle extends that piece instead.
+    its first zero throughout. The refinement is the sorted union of both
+    breakpoint sets (of 0.0 and -0.0, t1's is kept), and each input's
+    angle on an interval is looked up by bisection at its left edge (a
+    midpoint can round onto the right edge of an interval one float step
+    wide). Neighbouring refinement intervals whose angle pairs compare
+    equal join into one region. A region whose angles agree is one piece
+    with t1's angle. Any other region gets one matched split, by the
+    package's formula written out with no ordering check, with the input
+    of the smaller weight on the matched set E: four (right, angle)
+    pieces [E, rest, E, rest] with E anchored at the region's left end
+    or, when the last piece emitted so far has rest's angle, the mirror
+    [rest, E, rest, E] with E anchored at its right end. A piece is kept
+    when its right edge lies above the last kept edge; a kept piece whose
+    angle equals (`==`) the last kept angle extends that piece instead.
     """
     if alpha == 0.0 or 1.0 - alpha == 1.0:
         return t1
@@ -214,10 +217,10 @@ def combine_reference(t1, t2, alpha):
         for a in t.angles:
             angles.append(angles[-1] if angles and angles[-1] == a else a)
         run_firsts.append(StepLaminate(t.breakpoints, tuple(angles)))
-    rp = refine(*run_firsts)
+    union = sorted(set(t1.breakpoints) | set(t2.breakpoints))
     regions = []  # [lo, hi, t1's angle, t2's angle]
-    for lo, hi, ang1, ang2 in zip(rp.breakpoints, rp.breakpoints[1:],
-                                  rp.angles1, rp.angles2):
+    for lo, hi in zip(union, union[1:]):
+        ang1, ang2 = (t.angles[bisect.bisect_right(t.breakpoints, lo) - 1] for t in run_firsts)
         if regions and regions[-1][2] == ang1 and regions[-1][3] == ang2:
             regions[-1][1] = hi
         else:

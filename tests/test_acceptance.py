@@ -61,9 +61,9 @@ def test_convexity_identity():
         t2 = random_laminate(rng, max_plies=8)
         for alpha in (0.1, 0.25, 0.5, 0.75, 0.9):
             result = convex_combine(t1, t2, alpha)
-            report = verify_combination(t1, t2, alpha, result, tolerance=1e-12)
+            report = verify_combination(t1, t2, alpha, result)
             record(report.actual)
-            assert report.passed, (alpha, report.max_residual)
+            assert report.max_residual <= 1e-12, (alpha, report.max_residual)
             worst = max(worst, report.max_residual)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s over budget"

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -18,6 +17,7 @@ from lamconvex import (
 )
 from lamconvex import cli, interleaving
 from lamconvex.cli import main
+from lamconvex.convexity import DEFAULT_TOLERANCE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -113,6 +113,16 @@ class TestParams:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_collapsing_neighbours_name_their_file_indices(self, capsys, tmp_path):
+        # 0 and 1e-17 are increasing but map to the same float; the error
+        # quotes the file's indices and values, not the mapped -1.0
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps({"breakpoints": [0, 1e-17, 1], "angles_deg": [0, 90]}))
+        code, out, err = run_cli(capsys, "params", path, "--normalize")
+        assert (code, out) == (2, "")
+        assert err == ("error: breakpoints[0] = 0.0 and breakpoints[1] = 1e-17"
+                       " map to the same point of [-1, 1]\n")
+
 
 class TestCombine:
     def test_cross_pair_passes(self, capsys, cross_pair, tmp_path):
@@ -184,13 +194,13 @@ class TestCombine:
 
 
 def test_default_tolerance_is_the_library_default(capsys):
-    # one policy: the CLI's --tolerance default is verify_combination's
-    default = inspect.signature(verify_combination).parameters["tolerance"].default
+    # one policy: the CLI's --tolerance default is DEFAULT_TOLERANCE,
+    # whose docstring says what it bounds
     args = cli.build_parser().parse_args(["combine", "a.json", "b.json", "--alpha", "0.5"])
-    assert args.tolerance is default
+    assert args.tolerance is DEFAULT_TOLERANCE
     with pytest.raises(SystemExit):
         main(["combine", "--help"])
-    assert f"(default {default:g})" in capsys.readouterr().out
+    assert f"(default {DEFAULT_TOLERANCE:g})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("output", [(), ("--json",)])

@@ -3,9 +3,10 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconvex import (
@@ -159,6 +160,52 @@ class TestLoad:
         else:
             assert all(map(float.__lt__, raw, raw[1:]))
             assert t.breakpoints[0] == -1.0 and t.breakpoints[-1] == 1.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(FINITE, FINITE, st.floats(-1.0, 1.0), st.integers(-3, 3))
+    def test_normalize_names_the_file_index_of_a_collapse(self, a, b, t, steps):
+        # strictly increasing finite coordinates with neighbours closer
+        # than 2^-53 of the span (a point within half a span of 0 and one
+        # a few float steps from it): a laminate, or a data error that
+        # names the file's indices and values of the two neighbours
+        lo, hi = sorted((a, b))
+        assume(lo < hi)
+        z = z2 = min(max(t * (hi * 0.5 - lo * 0.5), lo), hi)
+        for _ in range(abs(steps)):
+            z2 = math.nextafter(z2, math.copysign(math.inf, steps))
+        raw = sorted({lo, z, min(max(z2, lo), hi), hi})
+        exact = [Fraction(v) for v in raw]
+        limit = (exact[-1] - exact[0]) / 2 ** 53
+        assume(any(q - p < limit for p, q in zip(exact, exact[1:])))
+        doc = {"breakpoints": raw, "angles_deg": [0.0] * (len(raw) - 1)}
+        try:
+            laminate = laminate_from_dict(doc, normalize=True)
+        except InvariantViolation as exc:
+            i = exc.index
+            assert exc.field == "breakpoints" and 1 <= i < len(raw)
+            assert f"breakpoints[{i - 1}] = {raw[i - 1]} and breakpoints[{i}] = {raw[i]}" \
+                in str(exc)
+        else:
+            assert laminate.ply_count == len(raw) - 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(FINITE, min_size=2, max_size=2, unique=True),
+           st.floats(1e-12, 1.0 - 1e-12))
+    def test_normalize_keeps_neighbours_apart_beyond_the_limit(self, ends, t):
+        # neighbours at least 2^-50 of the span apart always load; z2 is
+        # that far above z, or a few float steps more
+        lo, hi = sorted(ends)
+        limit = (Fraction(hi) - Fraction(lo)) / 2 ** 50
+        z = min(max(lo * (1.0 - t) + hi * t, lo), hi)
+        z2 = min(z + (hi * 2.0 ** -50 - lo * 2.0 ** -50), hi)
+        while z2 < hi and Fraction(z2) - Fraction(z) < limit:
+            z2 = math.nextafter(z2, math.inf)
+        raw = [lo, z, z2, hi]
+        exact = list(map(Fraction, raw))
+        assume(all(q - p >= limit for p, q in zip(exact, exact[1:])))
+        laminate = laminate_from_dict({"breakpoints": raw, "angles_deg": [0.0, 45.0, 0.0]},
+                                      normalize=True)
+        assert laminate.ply_count == 3
 
     def test_not_an_object(self):
         with pytest.raises(ParseError):

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "lamination_parameters",
     "load_laminate",
     "matched_split",
-    "normalize_breakpoints",
     "oscillation_witness",
     "refine",
     "save_laminate",
@@ -39,7 +38,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 26
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 25
 
 
 def test_errors_defines_five_classes():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from lamconvex import (
     InvariantViolation,
+    ParseError,
     StepLaminate,
     UndefinedAtBreakpoint,
+    laminate_from_dict,
     lamination_parameters,
-    normalize_breakpoints,
     refine,
 )
 from lamconvex.step import merge_close
@@ -118,11 +119,12 @@ class TestMoments:
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (0.5, -0.5), (0.0, math.inf), (math.nan, 1.0)])
     def test_rejects_degenerate(self, lo, hi):
         # an empty or reversed span fails the order check; a non-finite
-        # end fails before it
+        # end is no number a laminate file may hold
         finite = math.isfinite(lo) and math.isfinite(hi)
-        message = "not strictly increasing at index 1" if finite else "cannot normalize span"
-        with pytest.raises(InvariantViolation, match=message) as info:
-            normalize_breakpoints((lo, hi))
+        error, message = ((InvariantViolation, "not strictly increasing at index 1") if finite
+                          else (ParseError, "is not a finite number"))
+        with pytest.raises(error, match=message) as info:
+            normalized((lo, hi))
         assert info.value.field == "breakpoints"
 
     @given(
@@ -471,24 +473,31 @@ class TestMergeClose:
         assert merge_close(sorted(values)) == sorted(set(values))
 
 
+def normalized(raw):
+    """The breakpoints of a laminate file with coordinates `raw`, loaded
+    with normalize=True."""
+    data = {"breakpoints": list(raw), "angles_deg": [0.0] * (len(raw) - 1)}
+    return laminate_from_dict(data, normalize=True).breakpoints
+
+
 class TestNormalize:
     def test_identity(self):
-        assert normalize_breakpoints((-1.0, 1.0)) == (-1.0, 1.0)
+        assert normalized((-1.0, 1.0)) == (-1.0, 1.0)
 
     def test_shift_and_scale(self):
-        assert normalize_breakpoints((0.0, 2.0)) == (-1.0, 1.0)
+        assert normalized((0.0, 2.0)) == (-1.0, 1.0)
 
     def test_three_points(self):
-        assert normalize_breakpoints((0.0, 1.0, 4.0)) == (-1.0, -0.5, 1.0)
+        assert normalized((0.0, 1.0, 4.0)) == (-1.0, -0.5, 1.0)
 
     def test_rejects_empty_span(self):
         with pytest.raises(InvariantViolation, match="not strictly increasing") as info:
-            normalize_breakpoints((2.0, 2.0))
+            normalized((2.0, 2.0))
         assert info.value.index == 1
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvariantViolation) as info:
-            normalize_breakpoints((0.0, 3.0, 1.0, 4.0))
+            normalized((0.0, 3.0, 1.0, 4.0))
         assert info.value.index == 2
 
     @pytest.mark.parametrize("raw,middle", [
@@ -500,14 +509,14 @@ class TestNormalize:
     def test_maps_a_span_beyond_the_float_range(self, raw, middle):
         # hi - lo, or in the last case twice z - lo, overflows though
         # every coordinate is finite
-        got = normalize_breakpoints(raw)
+        got = normalized(raw)
         assert got[0] == -1.0 and got[2] == 1.0
         assert got[1] == pytest.approx(middle, abs=1e-15)
 
     @given(laminates())
     def test_maps_endpoints_exactly(self, t):
         scaled = tuple(3.0 * b + 7.0 for b in t.breakpoints)
-        mapped = normalize_breakpoints(scaled)
+        mapped = normalized(scaled)
         assert mapped[0] == -1.0 and mapped[-1] == 1.0
         for got, want in zip(mapped, t.breakpoints):
             assert got == pytest.approx(want, abs=1e-12)
