@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -16,8 +17,7 @@ from lamconvex import (
     verify_combination,
 )
 from lamconvex import cli, interleaving
-from lamconvex.cli import main
-from lamconvex.convexity import DEFAULT_TOLERANCE
+from lamconvex.cli import DEFAULT_TOLERANCE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -367,14 +367,72 @@ class TestOscillate:
         assert payload["undefined_at"] == []
 
 
-def test_module_entry_point(tmp_path):
+def run_module(tmp_path, *argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lamconvex", "oscillate", "--x=-1/2",
-         "--alpha", "0.5", "--count", "1"],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+    return subprocess.run([sys.executable, "-m", "lamconvex", *map(str, argv)],
+                          capture_output=True, env=env, cwd=tmp_path)
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module(tmp_path, "oscillate", "--x=-1/2", "--alpha", "0.5", "--count", "1")
     assert proc.returncode == 0
-    assert "below" in proc.stdout
+    assert b"below" in proc.stdout
+
+
+def test_module_entry_point_prints_what_main_prints(tmp_path, capsys, cross_pair):
+    f0, f90 = cross_pair
+    argv = ["combine", f0, f90, "--alpha", "0.25", "--out", tmp_path / "mix.json", "--json"]
+    proc = run_module(tmp_path, *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["combine", "missing.json", "missing.json", "--alpha", "0.5"], 2),
+    (["combine", "zero.json", "ninety.json", "--alpha", "1.5"], 3),
+])
+def test_module_entry_point_exit_codes(tmp_path, cross_pair, argv, expected):
+    proc = run_module(tmp_path, *argv)
+    assert proc.returncode == expected
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_run_freezes_once_then_exits_with_main_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1
+    assert calls == ["freeze", "main"]
+
+
+def test_main_in_process_does_not_freeze(capsys, cross_pair):
+    f0, _ = cross_pair
+    before = gc.get_freeze_count()
+    assert main(["params", str(f0)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("module", ["lamconvex", "lamconvex.cli"])
+def test_every_process_entry_goes_through_run(tmp_path, module):
+    # an exit handler reports whether the process froze its heap
+    code = ("import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['oscillate', '--x=-1/2', '--alpha', '0.5', '--count', '1']; "
+            f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("\nfrozen True\n")
+
+
+def test_console_script_is_run():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert '\nlamconvex = "lamconvex.cli:run"\n' in pyproject
 
 
 PINNED_TEXT = {
