@@ -15,10 +15,10 @@ sits on a partition point, where the interleaved function is undefined.
 Every point takes one exact number path and one witness search.
 Fraction(x) is exact for int, float and Fraction alike (a float is a
 dyadic rational), so y = p/q always, and frac(n*y) = (n*p mod q)/q. The
-search counts admissible residues with floor sums and bisects on n:
-O(log^2 q) integer steps, whatever the size of q. The Bezout solutions
-of n*p - q*i = j certify indices with a given fractional part j/q; they
-give the indices where the interleaving is undefined at x.
+search takes Euclid's steps on (p, q): O(log q) integer steps, whatever
+the size of q. The Bezout solutions of n*p - q*i = j certify indices
+with a given fractional part j/q; they give the indices where the
+interleaving is undefined at x.
 
 The convergence table builds no laminate. Its rows are the exact
 closed-form parameters of the ideal n-th interleaving, correctly rounded
@@ -143,23 +143,24 @@ def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, 
     return [(first + k * q, ((first + k * q) * p - j) // q) for k in range(count)]
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, a, b >= 0,
-    in O(log m) steps (the floor_sum recurrence of the AtCoder Library,
-    atcoder/math.hpp)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        top = a * n + b
-        if top < m:
-            return total
-        n, b = divmod(top, m)
-        m, a = a, m
+def _first_multiple(p: int, q: int, lo: int, hi: int) -> int:
+    """Smallest k >= 0 with lo <= k*p mod q <= hi, for coprime 0 < p < q
+    and 0 <= lo <= hi < q: Euclid's steps on (p, q), O(log q).
+
+    Unless a multiple of p lies in [lo, hi], k*p - m*q hits that range for
+    at most one k per m, k = ceil((m*q + lo) / p), growing with m; the
+    first m is the same search on (q mod p, p, -hi mod p, -lo mod p). A
+    loop, not a recursion: a float's q can take more steps than the
+    recursion limit allows.
+    """
+    stack = []
+    while lo and -(-lo // p) * p > hi:
+        stack.append((p, q, lo))
+        p, q, lo, hi = q % p, p, -hi % p, -lo % p
+    k = -(-lo // p)
+    for p, q, lo in reversed(stack):
+        k = -(-(q * k + lo) // p)
+    return k
 
 
 def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
@@ -168,10 +169,10 @@ def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
     (lo, hi), provided it is at most `cap`, the largest index accepted.
 
     With Fraction(y) % 1 = p/q, frac(n*y) = (n*p mod q)/q, and each
-    residue recurs once in any q consecutive n. The admissible n in
-    [n_min, n_min + k) are counted with two floor sums, and bisection
-    on k over one period finds the first: O(log^2 q) integer steps.
-    The cap bounds the answer, not the work.
+    residue recurs once in any q consecutive n. The admissible residues
+    form one range, so the first n is n_min + k for the smallest k >= 0
+    that moves n_min*p mod q into it: Euclid's steps on (p, q), O(log q)
+    integer steps. The cap bounds the answer, not the work.
 
     Raises:
         SearchCapExceeded: if (lo, hi) holds no residue r/q, so that no n
@@ -194,20 +195,11 @@ def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
             f"no n has fractional part of n*{frac} in ({lo}, {hi}): the region "
             f"contains no multiple of 1/{q}")
     shift = n_min * p % q
-
-    def count(k: int) -> int:
-        # for a residue r in [0, q): [r >= c] = floor((r + q - c) / q), 0 < c <= q
-        return (_floor_sum(k, q, p, shift + q - first)
-                - _floor_sum(k, q, p, shift + q - last - 1))
-
-    k_lo, k_hi = 1, q
-    while k_lo < k_hi:
-        mid = (k_lo + k_hi) // 2
-        if count(mid):
-            k_hi = mid
-        else:
-            k_lo = mid + 1
-    n = n_min + k_lo - 1
+    k = 0
+    if not first <= shift <= last:
+        d = (first - shift) % q
+        k = _first_multiple(p, q, d, d + last - first)
+    n = n_min + k
     if n > cap:
         raise SearchCapExceeded(
             f"no n in [{n_min}, {cap}] has fractional part of n*{frac} in "

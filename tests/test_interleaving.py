@@ -399,6 +399,36 @@ class TestFindN:
         assert n == 44925155
         assert lo < n * Fraction(y) % 1 < hi
 
+    def test_deep_euclid_chain_is_fast(self):
+        # y = F_1501/F_1502, a 1,042-bit denominator whose Euclid chain is
+        # about 1,500 steps long, more than the default recursion limit.
+        # F_k^2 = 1 (mod F_{k+1}) for odd k, so residue 1, the only one in
+        # the region, first comes at n = F_1501.
+        fib = [0, 1]
+        while len(fib) <= 1502:
+            fib.append(fib[-1] + fib[-2])
+        y = Fraction(fib[1501], fib[1502])
+        start = time.perf_counter()
+        n = find_n_in_region(y, 0.0, Fraction(2, fib[1502]), cap=fib[1502])
+        assert time.perf_counter() - start < 0.1
+        assert n == fib[1501]
+
+    @pytest.mark.parametrize("x, alpha, above", [
+        (-0.9999902583532311, 0.25, [51327, 51328, 51329, 51330, 51331]),
+        (-0.9999998995989753, 0.5, [9960058, 9960059, 9960060, 9960061, 9960062]),
+    ])
+    def test_float_points_of_the_witness_benchmark(self, x, alpha, above):
+        # power-of-two q near 2^53: y is about 5e-6 and 5e-8, so the first
+        # "above" index sits near alpha / y
+        table = oscillation_witness(T0, T90, alpha, x, 5, cap=10**8)
+        assert [n for n, _ in table.below] == [1, 2, 3, 4, 5]
+        assert [n for n, _ in table.above] == above
+        y = (Fraction(x) + 1) / 2
+        for (lo, hi), witnesses in (((0, alpha), table.below), ((alpha, 1), table.above)):
+            for n, part in witnesses:
+                assert part == n * y % 1
+                assert lo < part < hi
+
     def test_empty_region_says_no_n_exists(self):
         with pytest.raises(SearchCapExceeded, match="no n has .* no multiple of 1/2"):
             find_n_in_region(Fraction(1, 2), 0.0, 0.4, cap=10**6)
