@@ -39,11 +39,7 @@ from .parameters import (
     blend,
     lamination_parameters,
 )
-from .step import (
-    RefinedPair,
-    StepLaminate,
-    refine,
-)
+from .step import StepLaminate
 
 __version__ = "0.1.0"
 
@@ -54,7 +50,6 @@ __all__ = [
     "LamConvexError",
     "LamParams",
     "ParseError",
-    "RefinedPair",
     "SearchCapExceeded",
     "StepLaminate",
     "UndefinedAtBreakpoint",
@@ -70,7 +65,6 @@ __all__ = [
     "load_laminate",
     "matched_split",
     "oscillation_witness",
-    "refine",
     "save_laminate",
     "verify_combination",
 ]

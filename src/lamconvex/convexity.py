@@ -148,8 +148,7 @@ class CombinationReport(Record):
     """Componentwise residuals of the convex-combination identity; whether
     they pass is the caller's verdict."""
 
-    __slots__ = ("alpha", "expected", "actual", "residuals")
-    alpha: float
+    __slots__ = ("expected", "actual", "residuals")
     expected: LamParams
     actual: LamParams
     residuals: tuple[float, ...]
@@ -166,4 +165,4 @@ def verify_combination(t1: StepLaminate, t2: StepLaminate, alpha: float,
     expected = blend(lamination_parameters(t1), lamination_parameters(t2), 1.0 - alpha)
     actual = lamination_parameters(result)
     residuals = tuple(abs(e - a) for e, a in zip(expected.flat(), actual.flat()))
-    return CombinationReport(alpha, expected, actual, residuals)
+    return CombinationReport(expected, actual, residuals)

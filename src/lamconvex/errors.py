@@ -38,7 +38,7 @@ class InvariantViolation(LamConvexError):
 
 
 class ParseError(LamConvexError):
-    """Malformed laminate file or argument text."""
+    """Malformed laminate file."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)

@@ -223,9 +223,7 @@ class WitnessTable(Record):
     angle1 / angle2: the two sources' values at x, None where undefined.
     """
 
-    __slots__ = ("x", "alpha", "below", "above", "undefined_at", "angle1", "angle2")
-    x: Fraction | int | float
-    alpha: float
+    __slots__ = ("below", "above", "undefined_at", "angle1", "angle2")
     below: tuple[tuple[int, Fraction | int | float], ...]
     above: tuple[tuple[int, Fraction | int | float], ...]
     undefined_at: tuple[int, ...]
@@ -289,8 +287,6 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
             return None
 
     return WitnessTable(
-        x=x,
-        alpha=alpha,
         below=below,
         above=above,
         undefined_at=undefined,
@@ -316,8 +312,9 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate,
     G_j(x) = integral_{-1}^{x} z^j chi_n(z) dz, with chi_n marking the first
     fraction alpha of each of the n cells: the k full cells below x sum in
     closed form over the power sums of i < k (Faulhaber), and the one
-    partial cell is added directly. A t1 ply takes G(hi) - G(lo), a t2 ply
-    its full moment minus that. Everything is an integer over one scale
+    partial cell is added directly. A t1 point carries G(x), a t2 point
+    its full moment from -1 less G(x), and each ply adds its right point's
+    value less its left point's. Everything is an integer over one scale
     S = 2^bits * n * den(alpha): breakpoints are dyadic, a cell is 2S/n wide
     and its first part alpha times that. Sums of hi^m - lo^m (m = 1, 2, 3)
     are kept per distinct angle. The kernel's trig floats are integers over
@@ -336,9 +333,8 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate,
         w = 2 * a_num << bits
         sums = {angle: [0, 0, 0] for angle in angles}
         for t, points, first in ((t1, dyadic[0], True), (t2, dyadic[1], False)):
-            xs = [p * unit for p in points]
             g = []
-            for x in xs:
+            for x in (p * unit for p in points):
                 # the whole cells i < k start at c_i = i*cell - scale, and
                 # sum (c_i + w)^m - c_i^m expands in sum c_i and sum c_i^2
                 k = min(n, (x + scale) // cell)
@@ -352,13 +348,11 @@ def _interleaved_parameters(t1: StepLaminate, t2: StepLaminate,
                 if top > c:
                     for m in range(3):
                         gx[m] += top ** (m + 1) - c ** (m + 1)
-                g.append(gx)
+                g.append(gx if first else [x ** (m + 1) - v for m, v in enumerate(gx)])
             for i, angle in enumerate(t.angles):
                 s = sums[angle]
-                lo, hi = xs[i], xs[i + 1]
                 for m in range(3):
-                    part = g[i + 1][m] - g[i][m]
-                    s[m] += part if first else hi ** (m + 1) - lo ** (m + 1) - part
+                    s[m] += g[i + 1][m] - g[i][m]
         # the prefactors 1/2, 1, 3/2 times the moment denominators 1, 2, 3
         # leave 1/2 for every order
         flat = []

@@ -14,11 +14,11 @@ from lamconvex import (
     convex_combine,
     lamination_parameters,
     matched_split,
-    refine,
     verify_combination,
 )
 
 from lamconvex import convexity
+from lamconvex.step import refine
 
 from _helpers import (
     close_laminates,

@@ -16,16 +16,15 @@ from lamconvex import (
     ConvergenceRow,
     InvariantViolation,
     LamParams,
-    RefinedPair,
     StepLaminate,
     WitnessTable,
     convergence_table,
     convex_combine,
     lamination_parameters,
     oscillation_witness,
-    refine,
     verify_combination,
 )
+from lamconvex.step import RefinedPair, refine
 
 T1 = StepLaminate((-1.0, 0.0, 1.0), (0.0, math.pi / 4))
 T2 = StepLaminate((-1.0, 0.5, 1.0), (math.pi / 2, -math.pi / 4))
@@ -94,8 +93,8 @@ def test_repr_names_every_field_and_evaluates_back(record):
     text = repr(record)
     assert text.startswith(type(record).__name__ + "(")
     assert all(f"{name}=" in text for name in type(record).__slots__)
-    namespace = {"Fraction": Fraction, **{name: getattr(lamconvex, name)
-                                           for name in lamconvex.__all__}}
+    namespace = {"Fraction": Fraction, "RefinedPair": RefinedPair,
+                 **{name: getattr(lamconvex, name) for name in lamconvex.__all__}}
     assert eval(text, namespace) == record
 
 
@@ -121,9 +120,8 @@ def test_construction_checks_its_fields():
 
 def test_witness_table_takes_both_angles():
     with pytest.raises(TypeError, match="missing field 'angle1'"):
-        WitnessTable(x=0.5, alpha=0.5, below=(), above=(), undefined_at=())
-    table = WitnessTable(x=0.5, alpha=0.5, below=(), above=(), undefined_at=(),
-                         angle1=None, angle2=0.25)
+        WitnessTable(below=(), above=(), undefined_at=())
+    table = WitnessTable(below=(), above=(), undefined_at=(), angle1=None, angle2=0.25)
     assert table.distinct_values is None
 
 

@@ -17,9 +17,8 @@ from lamconvex import (
     UndefinedAtBreakpoint,
     laminate_from_dict,
     lamination_parameters,
-    refine,
 )
-from lamconvex.step import merge_close
+from lamconvex.step import merge_close, refine
 
 from _helpers import (
     close_laminates,
