@@ -183,7 +183,7 @@ def cmd_gsequence(args) -> tuple[dict, list]:
     rounding of the built laminate's part edges moves a parameter."""
     t1 = load_laminate(args.file1, normalize=args.normalize)
     t2 = load_laminate(args.file2, normalize=args.normalize)
-    rows = convergence_table(t1, t2, args.alpha, args.n, swap_limit=args.swap_limit)
+    rows = convergence_table(t1, t2, args.alpha, args.n)
     n0 = min(args.n)
     built = interleave(t1, t2, args.alpha, n0)
     closed = next(row.params for row in rows if row.n == n0)
@@ -264,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cell fraction taking the first laminate, in (0, 1)")
     p.add_argument("--n", type=_parse_n_list, required=True,
                    help="comma-separated cell counts, e.g. 16,32,64")
-    p.add_argument("--swap-limit", action="store_true",
-                   help="compare against the opposite limit orientation")
     add_common(p, files=True)
     p.set_defaults(func=cmd_gsequence)
 

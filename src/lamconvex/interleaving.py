@@ -397,8 +397,7 @@ class ConvergenceRow(Record):
 
 def convergence_table(t1: StepLaminate, t2: StepLaminate,
                       alpha: Fraction | int | float,
-                      n_list: Sequence[int],
-                      swap_limit: bool = False) -> list[ConvergenceRow]:
+                      n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Parameters of the interleaved laminates for each n, with distances
     to the limit.
 
@@ -407,17 +406,14 @@ def convergence_table(t1: StepLaminate, t2: StepLaminate,
     cost per n whatever n is: no laminate is built (`interleave` builds
     one). alpha and every n are checked before any work.
 
-    The construction puts t1 on measure fraction alpha of each cell, so
-    the limit used here weights params(t1) by alpha. Pass swap_limit=True
-    to compare against the opposite orientation (weight 1 - alpha on t1)
-    side by side.
+    t1 fills fraction alpha of every cell, so the limit weights params(t1)
+    by alpha.
     """
     _check_alpha(alpha)
     n_list = tuple(n_list)
     for n in n_list:
         _check_n(n)
-    weight_on_first = (1.0 - alpha) if swap_limit else alpha
-    limit = blend(lamination_parameters(t1), lamination_parameters(t2), weight_on_first).flat()
+    limit = blend(lamination_parameters(t1), lamination_parameters(t2), alpha).flat()
     return [ConvergenceRow(n=n, params=params,
                            residuals=tuple(abs(p - l) for p, l in zip(params.flat(), limit)))
             for n, params in zip(n_list, _interleaved_parameters(t1, t2, alpha, n_list))]

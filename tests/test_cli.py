@@ -252,14 +252,16 @@ class TestGsequence:
         assert rows[0]["residual_max"] == pytest.approx(1 / 16, abs=1e-14)
         assert rows[-1]["residual_a"] <= 1e-12
 
-    def test_swap_limit_flag(self, capsys, cross_pair):
+    def test_no_second_limit_orientation(self, capsys, cross_pair):
+        # the table has one limit, the one the construction reaches
         f0, f90 = cross_pair
-        code, out, _ = run_cli(capsys, "gsequence", f0, f90,
-                               "--alpha", "0.25", "--n", "32", "--swap-limit", "--json")
-        assert code == 0
-        # with the swapped orientation the z^0 block sits off the limit by
-        # |2*0.25 - 1| * ... > 0 instead of matching it
-        assert json.loads(out)["payload"]["rows"][0]["residual_a"] > 0.1
+        with pytest.raises(SystemExit) as exc:
+            main(["gsequence", str(f0), str(f90), "--alpha", "0.3", "--n", "8",
+                  "--swap-limit"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --swap-limit" in captured.err
+        assert captured.out == ""
 
     def test_verdict_on_the_cross_pair(self, capsys, cross_pair):
         f0, f90 = cross_pair
@@ -482,7 +484,6 @@ operation: gsequence
   file2: ninety.json
   alpha: 0.5
   n: [8, 4]
-  swap_limit: False
   tolerance: 1e-12
   normalize: False
   rows:
@@ -524,7 +525,7 @@ ALL_OPTIONS = {
     "combine": ["combine", "zero.json", "ninety.json", "--alpha", "0.3", "--out", "mix.json",
                 "--normalize", "--tolerance", "1e-9"],
     "gsequence": ["gsequence", "zero.json", "ninety.json", "--alpha", "0.5", "--n", "8,4",
-                  "--swap-limit", "--normalize", "--tolerance", "1e-9"],
+                  "--normalize", "--tolerance", "1e-9"],
     "oscillate": ["oscillate", "--x=-1/2", "--alpha", "0.5", "--count", "2", "--cap", "100"],
 }
 

@@ -551,12 +551,13 @@ class TestConvergenceTable:
         ratio = rows[1].residual_b / rows[0].residual_b
         assert 0.45 <= ratio <= 0.55
 
-    def test_swap_limit_orientation(self):
-        rows = convergence_table(T0, T90, 0.25, [32], swap_limit=True)
-        closed = convergence_table(T0, T90, 0.25, [32])[0].params
-        other = blend(lamination_parameters(T0), lamination_parameters(T90), 0.75)
-        expected = tuple(abs(a - b) for a, b in zip(closed.flat(), other.flat()))
-        assert rows[0].residuals == expected
+    def test_limit_weights_the_first_source_by_alpha(self):
+        # t1 fills fraction alpha of each cell; a limit weighting it by
+        # 1 - alpha would leave the z^0 block 1 off here
+        row, = convergence_table(T0, T90, 0.25, [32])
+        limit = blend(lamination_parameters(T0), lamination_parameters(T90), 0.25)
+        expected = tuple(abs(a - b) for a, b in zip(row.params.flat(), limit.flat()))
+        assert row.residuals == expected
 
     def test_distances_vanish(self):
         rows = convergence_table(T0, T90, 0.5, [16, 4096])
