@@ -14,9 +14,9 @@ is taken for an option.
 """
 
 import argparse
-import gc
 import json
 import math
+import os
 import sys
 
 from .convexity import convex_combine, verify_combination
@@ -310,12 +310,20 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry point: `python -m lamconvex` and the `lamconvex`
-    script. Everything imported so far lives until exit, so it is frozen
-    out of the collector first; gen-2 collections during the operation
-    and the final collection at shutdown then skip it. `main` itself
-    never freezes, so in-process callers keep their heaps as they are."""
-    gc.freeze()
-    sys.exit(main())
+    script. Once `main` returns, both streams are flushed and the process
+    ends with `os._exit`, skipping interpreter teardown: module cleanup,
+    the final collection and `atexit` handlers, whose work the process
+    would throw away. If a flush fails (a closed pipe), the process exits
+    through `sys.exit` instead, which reports the failure as teardown
+    always has. An exception escaping `main` takes the normal exit too.
+    In-process callers of `main` are unaffected."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -249,7 +249,9 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
     and 1 - alpha; for a float x that denominator is a large power of two.
 
     Raises:
-        SearchCapExceeded: from either region's search.
+        SearchCapExceeded: before any search when count > cap, since
+            `count` distinct indices n >= 1 cannot all be at most cap;
+            otherwise from either region's search.
         ValueError: unless 0 < alpha < 1, -1 < x < 1 and count >= 1.
     """
     from fractions import Fraction
@@ -260,6 +262,9 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
     y = (Fraction(x) + 1) / 2
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > cap:
+        raise SearchCapExceeded(
+            f"{count} distinct indices per region cannot all be at most cap = {cap}")
 
     def collect(lo: float, hi: float) -> tuple[tuple[int, Fraction], ...]:
         found = []

@@ -1,9 +1,10 @@
-import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,17 @@ class TestOscillate:
         assert code == 3
         assert "no n" in err
 
+    @pytest.mark.parametrize("count, cap", [(11, 10), (300_000, 200_000)])
+    def test_count_above_cap_exits_numeric_before_searching(self, capsys, count, cap):
+        # count distinct indices cannot all be <= cap, so no search runs
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oscillate", "--x=-1/3", "--alpha", "0.5",
+                                 "--count", count, "--cap", cap)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (3, "")
+        assert err == (f"error: {count} distinct indices per region cannot all "
+                       f"be at most cap = {cap}\n")
+
     @pytest.mark.parametrize("option", [["--tolerance", "1e-9"], ["--normalize"]])
     def test_rejects_options_it_would_ignore(self, capsys, option):
         with pytest.raises(SystemExit) as exc:
@@ -369,10 +381,17 @@ class TestOscillate:
         assert payload["undefined_at"] == []
 
 
-def run_module(tmp_path, *argv):
+def module_env():
+    # buffered streams, as in any pipe without PYTHONUNBUFFERED: the case
+    # where a process that ends without flushing would lose output
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_module(tmp_path, *argv):
     return subprocess.run([sys.executable, "-m", "lamconvex", *map(str, argv)],
-                          capture_output=True, env=env, cwd=tmp_path)
+                          capture_output=True, env=module_env(), cwd=tmp_path)
 
 
 def test_module_entry_point(tmp_path):
@@ -390,6 +409,62 @@ def test_module_entry_point_prints_what_main_prints(tmp_path, capsys, cross_pair
     assert code == 0
 
 
+@pytest.fixture
+def two_ply_files(tmp_path):
+    """Two 2-ply files whose combination at alpha 0.3 leaves a residual
+    of about 1e-16, so `--tolerance 0` fails its verdict."""
+    (tmp_path / "a.json").write_text('{"breakpoints": [-1, 0, 1], "angles_deg": [0, 90]}')
+    (tmp_path / "b.json").write_text('{"breakpoints": [-1, 0.5, 1], "angles_deg": [45, -45]}')
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # a report of about 200 KB, many times a pipe's buffer
+    (["gsequence", "a.json", "b.json", "--alpha", "0.3",
+      "--n", ",".join(map(str, range(1, 2001)))], 0),
+    (["combine", "a.json", "b.json", "--alpha", "0.3", "--tolerance", "0"], 1),
+])
+def test_module_entry_point_delivers_the_whole_report(tmp_path, capsys, monkeypatch,
+                                                      two_ply_files, argv, expected):
+    proc = run_module(tmp_path, *argv)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    if argv[0] == "gsequence":
+        assert len(proc.stdout) > 64 * 1024
+
+
+def test_module_entry_point_writes_the_whole_out_file(tmp_path, capsys, monkeypatch):
+    rng = random.Random(7)
+    for name in ("a.json", "b.json"):
+        cuts = sorted(rng.uniform(-1.0, 1.0) for _ in range(999))
+        angles = tuple(math.radians(rng.choice((0, 45, -45, 90))) for _ in range(1000))
+        save_laminate(StepLaminate((-1.0, *cuts, 1.0), angles), tmp_path / name)
+    argv = ["combine", "a.json", "b.json", "--alpha", "0.3", "--out", "mix.json"]
+    proc = run_module(tmp_path, *argv)
+    written = (tmp_path / "mix.json").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv)[0] == proc.returncode == 0
+    assert written == (tmp_path / "mix.json").read_bytes()
+    assert len(written) > 64 * 1024 and written.endswith(b"\n}\n")
+
+
+def test_closed_stdout_pipe_exits_120_with_one_report(tmp_path):
+    # the interpreter's own report of a stdout it cannot flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamconvex", "oscillate", "--x=-1/2", "--alpha", "0.5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=module_env(), cwd=tmp_path)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    first, second = proc.stderr.decode().splitlines()
+    assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert second.startswith("BrokenPipeError:")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["combine", "missing.json", "missing.json", "--alpha", "0.5"], 2),
     (["combine", "zero.json", "ninety.json", "--alpha", "1.5"], 3),
@@ -401,35 +476,35 @@ def test_module_entry_point_exit_codes(tmp_path, cross_pair, argv, expected):
     assert proc.stderr.startswith(b"error: ") and len(proc.stderr.splitlines()) == 1
 
 
-def test_run_freezes_once_then_exits_with_main_code(monkeypatch):
+class _Stream:
+    def __init__(self, name, calls):
+        self.name, self.calls = name, calls
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+
+
+def test_run_flushes_both_streams_then_exits_with_main_code(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
-    with pytest.raises(SystemExit) as exc:
-        cli.run()
-    assert exc.value.code == 1
-    assert calls == ["freeze", "main"]
-
-
-def test_main_in_process_does_not_freeze(capsys, cross_pair):
-    f0, _ = cross_pair
-    before = gc.get_freeze_count()
-    assert main(["params", str(f0)]) == 0
-    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(cli.sys, "stdout", _Stream("stdout", calls))
+    monkeypatch.setattr(cli.sys, "stderr", _Stream("stderr", calls))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit {code}"))
+    cli.run()
+    assert calls == ["main", "flush stdout", "flush stderr", "_exit 1"]
 
 
 @pytest.mark.parametrize("module", ["lamconvex", "lamconvex.cli"])
 def test_every_process_entry_goes_through_run(tmp_path, module):
-    # an exit handler reports whether the process froze its heap
-    code = ("import atexit, gc, runpy, sys; "
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+    # `run` alone ends the process with os._exit; a stand-in reports the call
+    code = ("import os, runpy, sys; "
+            "os._exit = lambda code: print('os._exit', code); "
             "sys.argv[1:] = ['oscillate', '--x=-1/2', '--alpha', '0.5', '--count', '1']; "
             f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+                          env=module_env(), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith("\nfrozen True\n")
+    assert proc.stdout.endswith("\nos._exit 0\n")
 
 
 def test_console_script_is_run():
