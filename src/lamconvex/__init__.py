@@ -18,7 +18,6 @@ from .errors import (
     LamConvexError,
     ParseError,
     SearchCapExceeded,
-    UndefinedAtBreakpoint,
 )
 from .fileio import (
     laminate_from_dict,
@@ -52,7 +51,6 @@ __all__ = [
     "ParseError",
     "SearchCapExceeded",
     "StepLaminate",
-    "UndefinedAtBreakpoint",
     "WitnessTable",
     "blend",
     "congruence_solutions",

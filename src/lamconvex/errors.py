@@ -3,18 +3,13 @@
 An argument outside a function's domain (a weight, a fraction, an
 interval, an integer pair or count) raises the built-in ValueError.
 These classes cover the rest: data that breaks a laminate's invariants,
-a malformed file, a point where a step function is undefined, and an
-index search that passes its cap.
+a malformed file, and an index search that passes its cap. Each carries
+only its message, which names the offending entry.
 """
 
 
 class LamConvexError(Exception):
     """Base class for all lamconvex errors."""
-
-
-class UndefinedAtBreakpoint(LamConvexError):
-    """Evaluation requested exactly at a partition point, where the
-    step function has no value."""
 
 
 class SearchCapExceeded(LamConvexError):
@@ -31,15 +26,6 @@ class SearchCapExceeded(LamConvexError):
 class InvariantViolation(LamConvexError):
     """Structured data failing a documented invariant."""
 
-    def __init__(self, message: str, field: str | None = None, index: int | None = None):
-        super().__init__(message)
-        self.field = field
-        self.index = index
-
 
 class ParseError(LamConvexError):
     """Malformed laminate file."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field

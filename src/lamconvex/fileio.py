@@ -30,7 +30,7 @@ _ITEM_SEP = ",\n    "  # json.dump's separator between list items at indent=2
 def _number_list(data: dict, key: str) -> list[float]:
     value = data[key]
     if not isinstance(value, list) or not value:
-        raise ParseError(f"'{key}' must be a non-empty list of numbers", field=key)
+        raise ParseError(f"'{key}' must be a non-empty list of numbers")
     if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
         return value  # plain finite floats; the loop below names a bad entry
     out = []
@@ -41,7 +41,7 @@ def _number_list(data: dict, key: str) -> list[float]:
         except OverflowError:  # an int too large for a float
             finite = False
         if not finite:
-            raise ParseError(f"'{key}[{i}]' is not a finite number: {v!r}", field=key)
+            raise ParseError(f"'{key}[{i}]' is not a finite number: {v!r}")
         out.append(float(v))
     return out
 
@@ -53,12 +53,12 @@ def laminate_from_dict(data: object, normalize: bool = False) -> StepLaminate:
         raise ParseError(f"laminate file must contain a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - _ALLOWED)
     if unknown:
-        raise ParseError(f"unknown field(s): {', '.join(unknown)}", field=unknown[0])
+        raise ParseError(f"unknown field(s): {', '.join(unknown)}")
     for key in _REQUIRED:
         if key not in data:
-            raise ParseError(f"missing required field '{key}'", field=key)
+            raise ParseError(f"missing required field '{key}'")
     if "name" in data and not isinstance(data["name"], str):
-        raise ParseError("'name' must be a string", field="name")
+        raise ParseError("'name' must be a string")
     breakpoints = _number_list(data, "breakpoints")
     angles_deg = _number_list(data, "angles_deg")
     if normalize:
@@ -80,12 +80,10 @@ def _normalized(raw: list[float]) -> list[float]:
             strictly increasing, or neighbours that map to one float.
     """
     if len(raw) < 2:
-        raise InvariantViolation("need at least two coordinates", field="breakpoints")
+        raise InvariantViolation("need at least two coordinates")
     if not all(map(lt, raw, islice(raw, 1, None))):
         i = list(map(lt, raw, islice(raw, 1, None))).index(False)
-        raise InvariantViolation(
-            f"coordinates not strictly increasing at index {i + 1}",
-            field="breakpoints", index=i + 1)
+        raise InvariantViolation(f"coordinates not strictly increasing at index {i + 1}")
     lo, hi = raw[0], raw[-1]
     scale = 1.0 if hi - lo < math.inf else 0.5
     lo *= scale
@@ -95,7 +93,7 @@ def _normalized(raw: list[float]) -> list[float]:
         i = list(map(lt, mapped, islice(mapped, 1, None))).index(False)
         raise InvariantViolation(
             f"breakpoints[{i}] = {raw[i]} and breakpoints[{i + 1}] = {raw[i + 1]}"
-            " map to the same point of [-1, 1]", field="breakpoints", index=i + 1)
+            " map to the same point of [-1, 1]")
     return mapped
 
 
@@ -144,7 +142,7 @@ def _unique_fields(pairs: list) -> dict:
     if len(data) < len(pairs):
         keys = [key for key, _ in pairs]
         key = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ParseError(f"repeated field {key!r}", field=key)
+        raise ParseError(f"repeated field {key!r}")
     return data
 
 

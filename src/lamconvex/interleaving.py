@@ -39,7 +39,7 @@ from collections.abc import Iterator, Sequence
 from operator import mul
 
 from ._record import Record
-from .errors import SearchCapExceeded, UndefinedAtBreakpoint
+from .errors import SearchCapExceeded
 from .parameters import LamParams, _trig_rows, blend, lamination_parameters
 from .step import StepLaminate
 
@@ -284,19 +284,12 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
         solutions = congruence_solutions(y.numerator, q, alpha_q.numerator, count)
         candidates += [n for n, _ in solutions]
     undefined = tuple(n for n in sorted(candidates)[:count] if n <= cap)
-
-    def value_or_none(t: StepLaminate) -> float | None:
-        try:
-            return t.value_at(x)
-        except UndefinedAtBreakpoint:
-            return None
-
     return WitnessTable(
         below=below,
         above=above,
         undefined_at=undefined,
-        angle1=value_or_none(t1),
-        angle2=value_or_none(t2),
+        angle1=t1.value_at(x),
+        angle2=t2.value_at(x),
     )
 
 

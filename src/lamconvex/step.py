@@ -2,8 +2,9 @@
 
 A laminate is modelled as a piecewise-constant angle function: an ordered
 breakpoint sequence from -1 to 1 and one angle (radians) per interval.
-Values exactly at breakpoints are deliberately undefined; they carry no
-measure and every downstream quantity is an integral.
+Values exactly at breakpoints are deliberately undefined (`value_at`
+gives None there); they carry no measure and every downstream quantity
+is an integral.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import compress, islice
 from operator import lt, ne
 
 from ._record import Record
-from .errors import InvariantViolation, UndefinedAtBreakpoint
+from .errors import InvariantViolation
 
 
 class StepLaminate(Record):
@@ -39,50 +40,43 @@ class StepLaminate(Record):
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "angles", angs)
         if len(bps) < 2:
-            raise InvariantViolation("need at least two breakpoints", field="breakpoints")
+            raise InvariantViolation("need at least two breakpoints")
         if len(angs) != len(bps) - 1:
             raise InvariantViolation(
-                f"{len(angs)} angles for {len(bps)} breakpoints (expected {len(bps) - 1})",
-                field="angles",
-            )
+                f"{len(angs)} angles for {len(bps)} breakpoints (expected {len(bps) - 1})")
         if not all(map(math.isfinite, bps)):
             i = list(map(math.isfinite, bps)).index(False)
-            raise InvariantViolation(f"breakpoints[{i}] = {bps[i]} is not finite",
-                                     field="breakpoints", index=i)
+            raise InvariantViolation(f"breakpoints[{i}] = {bps[i]} is not finite")
         if not all(map(math.isfinite, angs)):
             i = list(map(math.isfinite, angs)).index(False)
-            raise InvariantViolation(f"angles[{i}] = {angs[i]} is not finite",
-                                     field="angles", index=i)
+            raise InvariantViolation(f"angles[{i}] = {angs[i]} is not finite")
         if not all(map(lt, bps, islice(bps, 1, None))):
             i = list(map(lt, bps, islice(bps, 1, None))).index(False)
             raise InvariantViolation(
-                f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}",
-                field="breakpoints", index=i + 1)
+                f"breakpoints[{i}] = {bps[i]} not below breakpoints[{i + 1}] = {bps[i + 1]}")
         if bps[0] != -1.0:
-            raise InvariantViolation(f"first breakpoint must be -1, got {bps[0]}",
-                                     field="breakpoints", index=0)
+            raise InvariantViolation(f"first breakpoint must be -1, got {bps[0]}")
         if bps[-1] != 1.0:
-            raise InvariantViolation(f"last breakpoint must be 1, got {bps[-1]}",
-                                     field="breakpoints", index=len(bps) - 1)
+            raise InvariantViolation(f"last breakpoint must be 1, got {bps[-1]}")
 
     @property
     def ply_count(self) -> int:
         return len(self.angles)
 
-    def value_at(self, x: float) -> float:
-        """Angle at interior point x, compared with the breakpoints
-        exactly (a Fraction x is not rounded to a float).
+    def value_at(self, x: float) -> float | None:
+        """Angle at point x, compared with the breakpoints exactly (a
+        Fraction x is not rounded to a float); None where x is a
+        breakpoint, -1 and 1 included, as a step function has no value
+        there.
 
         Raises:
-            UndefinedAtBreakpoint: if x coincides with a breakpoint
-                (including the endpoints -1 and 1).
             ValueError: if x lies outside [-1, 1].
         """
         if not (-1.0 <= x <= 1.0):
             raise ValueError(f"x = {x} outside [-1, 1]")
         pos = bisect.bisect_left(self.breakpoints, x)
         if pos < len(self.breakpoints) and self.breakpoints[pos] == x:
-            raise UndefinedAtBreakpoint(f"step function undefined at breakpoint x = {x}")
+            return None
         return self.angles[pos - 1]
 
     @classmethod
@@ -118,13 +112,9 @@ class StepLaminate(Record):
             elif right == right:
                 skipped += 1
             else:
-                i = len(kept) + skipped
-                raise InvariantViolation(f"piece {i} ends at {right}",
-                                         field="breakpoints", index=i)
+                raise InvariantViolation(f"piece {len(kept) + skipped} ends at {right}")
         if right != 1.0:
-            count = len(kept) + skipped
-            raise InvariantViolation(f"pieces end at {float(right)}, expected 1.0",
-                                     field="breakpoints", index=count - 1 if count else None)
+            raise InvariantViolation(f"pieces end at {float(right)}, expected 1.0")
         breakpoints = tuple(edges)
         del edges  # freed before the angles tuple is built
         return cls(breakpoints, tuple(kept))

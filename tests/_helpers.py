@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from lamconvex import (
     LamParams,
     StepLaminate,
-    UndefinedAtBreakpoint,
     lamination_parameters,
 )
 
@@ -127,11 +126,11 @@ def interleave_value(t1, t2, alpha, n, x):
     the pointwise oracle for `interleave` and `oscillation_witness`.
 
     x is classified exactly, float or not: the partition point test is an
-    equality of rationals.
+    equality of rationals, and the source is read at x itself. None if x
+    falls on a partition point of the interleaving, or on a breakpoint of
+    the source laminate.
 
     Raises:
-        UndefinedAtBreakpoint: if x falls on a partition point of the
-            interleaving, or on a breakpoint of the source laminate.
         ValueError: unless 0 < alpha < 1, -1 < x < 1 and n is an integer
             >= 1.
     """
@@ -143,9 +142,9 @@ def interleave_value(t1, t2, alpha, n, x):
         raise ValueError(f"x = {x} outside (-1, 1)")
     frac = n * ((Fraction(x) + 1) / 2) % 1
     if frac == 0 or frac == alpha:
-        raise UndefinedAtBreakpoint(f"interleaving undefined at x = {x} for n = {n}")
+        return None
     source = t1 if frac < alpha else t2
-    return source.value_at(float(x))
+    return source.value_at(x)
 
 
 def exact_interleaved_parameters(t1, t2, alpha, n) -> list[Fraction]:

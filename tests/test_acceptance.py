@@ -8,11 +8,9 @@ from fractions import Fraction
 from operator import add
 
 import numpy as np
-import pytest
 
 from lamconvex import (
     StepLaminate,
-    UndefinedAtBreakpoint,
     congruence_solutions,
     convergence_table,
     convex_combine,
@@ -139,8 +137,7 @@ def test_oscillation_witnesses():
         assert isinstance(frac, Fraction) and Fraction(1, 2) < frac < Fraction(1)
     q = x.denominator
     for k in range(1, 6):
-        with pytest.raises(UndefinedAtBreakpoint):
-            interleave_value(T0, T90, 0.5, 2 * q * k, x)
+        assert interleave_value(T0, T90, 0.5, 2 * q * k, x) is None
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over budget"
     print(f"\n[acceptance] oscillation-witnesses: PASS "

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -87,9 +88,8 @@ class TestLoad:
         text = ", ".join(f'"{k}": {v}' for k, v in [*fields.items(), (key, fields[key])])
         path = tmp_path / "t.json"
         path.write_text("{" + text + "}", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"repeated field '{key}'") as info:
+        with pytest.raises(ParseError, match=f"^repeated field '{key}'$"):
             load_laminate(path)
-        assert info.value.field == key
 
     def test_missing_field(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"breakpoints": [-1, 1]})
@@ -113,9 +113,10 @@ class TestLoad:
         data = {"breakpoints": [-1, 1], "angles_deg": [0]}
         data[key][-1] = 10 ** 400
         path = write_json(tmp_path / "t.json", data)
-        with pytest.raises(ParseError, match="is not a finite number") as info:
+        with pytest.raises(ParseError) as info:
             load_laminate(path)
-        assert info.value.field == key
+        i = len(data[key]) - 1
+        assert str(info.value) == f"'{key}[{i}]' is not a finite number: {10 ** 400}"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "t.json"
@@ -156,7 +157,8 @@ class TestLoad:
         try:
             t = laminate_from_dict(doc, normalize=True)
         except (ParseError, InvariantViolation) as exc:
-            assert exc.field == "breakpoints"
+            assert re.match(r"'breakpoints' must be|need at least two coordinates"
+                            r"|coordinates not strictly increasing|breakpoints\[\d+\] = ", str(exc))
         else:
             assert all(map(float.__lt__, raw, raw[1:]))
             assert t.breakpoints[0] == -1.0 and t.breakpoints[-1] == 1.0
@@ -181,10 +183,9 @@ class TestLoad:
         try:
             laminate = laminate_from_dict(doc, normalize=True)
         except InvariantViolation as exc:
-            i = exc.index
-            assert exc.field == "breakpoints" and 1 <= i < len(raw)
-            assert f"breakpoints[{i - 1}] = {raw[i - 1]} and breakpoints[{i}] = {raw[i]}" \
-                in str(exc)
+            assert str(exc) in {f"breakpoints[{i - 1}] = {raw[i - 1]} and"
+                                f" breakpoints[{i}] = {raw[i]} map to the same point of [-1, 1]"
+                                for i in range(1, len(raw))}
         else:
             assert laminate.ply_count == len(raw) - 1
 
@@ -236,7 +237,6 @@ class TestLoad:
         with pytest.raises(ParseError) as info:
             load_laminate(path)
         assert str(info.value) == f"'{key}[2]' is not a finite number: {shown}"
-        assert info.value.field == key
 
 
 class TestRoundTrip:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lamconvex import (
     SearchCapExceeded,
     StepLaminate,
-    UndefinedAtBreakpoint,
     blend,
     congruence_solutions,
     convergence_table,
@@ -239,26 +238,21 @@ class TestInterleaveValue:
         assert interleave_value(T0, T90, 0.5, 1, 0.5) == math.pi / 2
 
     def test_cell_boundary_is_undefined(self):
-        with pytest.raises(UndefinedAtBreakpoint):
-            interleave_value(T0, T90, 0.5, 2, Fraction(0))
-        with pytest.raises(UndefinedAtBreakpoint):
-            interleave_value(T0, T90, 0.5, 2, 0.0)
+        assert interleave_value(T0, T90, 0.5, 2, Fraction(0)) is None
+        assert interleave_value(T0, T90, 0.5, 2, 0.0) is None
 
     def test_band_boundary_is_undefined(self):
         # fractional part exactly alpha: x = -1 + 2*alpha/n
-        with pytest.raises(UndefinedAtBreakpoint):
-            interleave_value(T0, T90, 0.5, 2, Fraction(-1, 2))
+        assert interleave_value(T0, T90, 0.5, 2, Fraction(-1, 2)) is None
 
     def test_source_breakpoint_is_undefined(self):
         t1 = StepLaminate((-1.0, -0.5, 1.0), (0.0, 0.4))
-        with pytest.raises(UndefinedAtBreakpoint):
-            interleave_value(t1, T90, 0.5, 1, Fraction(-1, 2))
+        assert interleave_value(t1, T90, 0.5, 1, Fraction(-1, 2)) is None
 
     @pytest.mark.parametrize("x,q", [(Fraction(-1, 2), 2), (Fraction(1, 3), 3), (Fraction(0), 1)])
     def test_undefined_at_denominator_multiples(self, x, q):
         for k in range(1, 6):
-            with pytest.raises(UndefinedAtBreakpoint):
-                interleave_value(T0, T90, 0.5, 2 * q * k, x)
+            assert interleave_value(T0, T90, 0.5, 2 * q * k, x) is None
 
     def test_outside_open_interval(self):
         with pytest.raises(ValueError, match=r"outside \(-1, 1\)"):
@@ -275,9 +269,8 @@ class TestInterleaveValue:
                 x = rng.uniform(-1.0, 1.0)
                 if min(abs(x - b) for b in built.breakpoints) < 1e-9:
                     continue
-                try:
-                    value = interleave_value(t1, t2, alpha, n, x)
-                except UndefinedAtBreakpoint:
+                value = interleave_value(t1, t2, alpha, n, x)
+                if value is None:
                     continue
                 assert value == built.value_at(x)
                 checked += 1
@@ -473,14 +466,18 @@ class TestOscillationWitness:
         assert table.distinct_values is True
 
     def test_witnesses_select_each_source(self):
-        table = oscillation_witness(T0, T90, 0.5, Fraction(-1, 2), 3)
-        for n, _ in table.below:
-            assert interleave_value(T0, T90, 0.5, n, Fraction(-1, 2)) == table.angle1
-        for n, _ in table.above:
-            assert interleave_value(T0, T90, 0.5, n, Fraction(-1, 2)) == table.angle2
-        for n in table.undefined_at:
-            with pytest.raises(UndefinedAtBreakpoint):
-                interleave_value(T0, T90, 0.5, n, Fraction(-1, 2))
+        # the second pair's x = 1/3 lies just right of t1's breakpoint
+        # float(1/3), onto which it rounds: read as a float, it is undefined
+        t1 = StepLaminate((-1.0, float(Fraction(1, 3)), 1.0), (0.0, 1.0))
+        t2 = StepLaminate((-1.0, 1.0), (2.0,))
+        for s1, s2, x in ((T0, T90, Fraction(-1, 2)), (t1, t2, Fraction(1, 3))):
+            table = oscillation_witness(s1, s2, 0.5, x, 3)
+            for n, _ in table.below:
+                assert interleave_value(s1, s2, 0.5, n, x) == table.angle1
+            for n, _ in table.above:
+                assert interleave_value(s1, s2, 0.5, n, x) == table.angle2
+            for n in table.undefined_at:
+                assert interleave_value(s1, s2, 0.5, n, x) is None
 
     def test_irrational_point(self):
         table = oscillation_witness(T0, T90, 0.5, math.sqrt(2.0) - 1.0, 3)
@@ -499,12 +496,7 @@ class TestOscillationWitness:
                                          (Fraction(1, 4), 0.375), (Fraction(-3, 7), 0.375)])
     def test_undefined_at_is_every_undefined_index(self, x, alpha):
         table = oscillation_witness(T0, T90, alpha, x, 6, cap=60)
-        undefined = []
-        for n in range(1, 61):
-            try:
-                interleave_value(T0, T90, alpha, n, x)
-            except UndefinedAtBreakpoint:
-                undefined.append(n)
+        undefined = [n for n in range(1, 61) if interleave_value(T0, T90, alpha, n, x) is None]
         assert table.undefined_at == tuple(undefined[:6])
 
     def test_undefined_at_stops_at_cap(self):

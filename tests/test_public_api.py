@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "ParseError",
     "SearchCapExceeded",
     "StepLaminate",
-    "UndefinedAtBreakpoint",
     "WitnessTable",
     "blend",
     "congruence_solutions",
@@ -49,18 +48,22 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def test_all_is_pinned():
     assert sorted(lamconvex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 23
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 22
 
 
-def test_errors_defines_five_classes():
-    # a bad argument raises the built-in ValueError; these cover the rest
+def test_errors_defines_four_classes():
+    # a bad argument raises the built-in ValueError; these cover the rest,
+    # each a class and a message with no attributes of its own
     classes = [name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__]
     assert sorted(classes) == ["InvariantViolation", "LamConvexError", "ParseError",
-                               "SearchCapExceeded", "UndefinedAtBreakpoint"]
+                               "SearchCapExceeded"]
     for name in classes:
-        assert issubclass(getattr(errors, name), errors.LamConvexError)
-        assert getattr(lamconvex, name) is getattr(errors, name)
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.LamConvexError)
+        assert getattr(lamconvex, name) is cls
+        assert cls.__init__ is Exception.__init__
+        assert vars(cls("m")) == {}
 
 
 def test_star_import_binds_exactly_the_public_names():
