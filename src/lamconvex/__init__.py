@@ -27,7 +27,6 @@ from .fileio import (
 from .interleaving import (
     ConvergenceRow,
     WitnessTable,
-    congruence_solutions,
     convergence_table,
     find_n_in_region,
     interleave,
@@ -53,7 +52,6 @@ __all__ = [
     "StepLaminate",
     "WitnessTable",
     "blend",
-    "congruence_solutions",
     "convergence_table",
     "convex_combine",
     "find_n_in_region",

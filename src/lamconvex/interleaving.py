@@ -16,9 +16,9 @@ Every point takes one exact number path and one witness search.
 Fraction(x) is exact for int, float and Fraction alike (a float is a
 dyadic rational), so y = p/q always, and frac(n*y) = (n*p mod q)/q. The
 search takes Euclid's steps on (p, q): O(log q) integer steps, whatever
-the size of q. The Bezout solutions of n*p - q*i = j certify indices
-with a given fractional part j/q; they give the indices where the
-interleaving is undefined at x.
+the size of q. Each witness list recurs with period q, since n and
+n + q share a fractional part: its members in [1, q] give every later
+one, so a list of any length takes at most one period of searches.
 
 The convergence table builds no laminate. Its rows are the exact
 closed-form parameters of the ideal n-th interleaving, correctly rounded
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import cycle
 from operator import mul
 
 from ._record import Record
@@ -120,29 +121,6 @@ def _edge_rounding_bound(n: int) -> float:
     return 6 * (2 * n + 1) * 2.0 ** -53
 
 
-def congruence_solutions(p: int, q: int, j: int, count: int) -> list[tuple[int, int]]:
-    """First `count` pairs (n, i) with n*p - q*i = j, in increasing n.
-
-    Every returned pair satisfies n >= 1 and 0 <= i <= n - 1 exactly
-    (any positive solution does: i >= n forces n*(q - p) < 0), and the
-    fractional part of n*p/q equals j/q exactly.
-
-    Raises:
-        ValueError: unless 0 < p < q are coprime integers, 1 <= j <= q - 1
-            and count >= 1.
-    """
-    if not (isinstance(p, int) and isinstance(q, int) and 0 < p < q):
-        raise ValueError(f"need integers 0 < p < q, got p={p!r}, q={q!r}")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p = {p} and q = {q} share factor {math.gcd(p, q)}")
-    if not 1 <= j <= q - 1:
-        raise ValueError(f"j must lie in [1, {q - 1}], got {j}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    first = j * pow(p, -1, q) % q
-    return [(first + k * q, ((first + k * q) * p - j) // q) for k in range(count)]
-
-
 def _first_multiple(p: int, q: int, lo: int, hi: int) -> int:
     """Smallest k >= 0 with lo <= k*p mod q <= hi, for coprime 0 < p < q
     and 0 <= lo <= hi < q: Euclid's steps on (p, q), O(log q).
@@ -161,6 +139,13 @@ def _first_multiple(p: int, q: int, lo: int, hi: int) -> int:
     for p, q, lo in reversed(stack):
         k = -(-(q * k + lo) // p)
     return k
+
+
+def _recurring(period: Sequence[int], q: int, indices: Iterable[int]) -> list[int]:
+    """Members `indices` (from 0) of the increasing sequence that recurs with
+    period q and holds `period` in [1, q]: member i is period[i % r] + (i // r) * q."""
+    r = len(period)
+    return [period[i % r] + i // r * q for i in indices]
 
 
 def find_n_in_region(y: Fraction | int | float, lo: float, hi: float,
@@ -215,11 +200,10 @@ class WitnessTable(Record):
         (0, alpha), where the interleaving equals the first source at x.
     above: same for (alpha, 1), where it equals the second source.
     undefined_at: the first indices n <= cap where the interleaving is
-        undefined at x, at most `count` of them: the multiples of
-        q = den(y), where frac(n*y) = 0, merged with the n where
-        frac(n*y) = alpha, which exist only when alpha*q is an integer.
-        A float x has a large power-of-two q, so the cap usually leaves
-        this empty.
+        undefined at x, at most `count` of them: n = q = den(y), where
+        frac(n*y) = 0, and the one n < q where frac(n*y) = alpha if
+        alpha*q is an integer, each recurring with period q. A float x
+        has a large power-of-two q, so the cap usually leaves this empty.
     angle1 / angle2: the two sources' values at x, None where undefined.
     """
 
@@ -250,8 +234,10 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
 
     Raises:
         SearchCapExceeded: before any search when count > cap, since
-            `count` distinct indices n >= 1 cannot all be at most cap;
-            otherwise from either region's search.
+            `count` distinct indices n >= 1 cannot all be at most cap; if
+            a region holds no residue; or if a region's count-th index is
+            above cap, which its indices in [1, q] show before any list is
+            built, so after at most one period of searches.
         ValueError: unless 0 < alpha < 1, -1 < x < 1 and count >= 1.
     """
     from fractions import Fraction
@@ -266,28 +252,35 @@ def oscillation_witness(t1: StepLaminate, t2: StepLaminate, alpha: float,
         raise SearchCapExceeded(
             f"{count} distinct indices per region cannot all be at most cap = {cap}")
 
-    def collect(lo: float, hi: float) -> tuple[tuple[int, Fraction], ...]:
-        found = []
-        n_min = 1
-        for _ in range(count):
-            n = find_n_in_region(y, lo, hi, n_min=n_min, cap=cap)
-            found.append((n, n * y % 1))
-            n_min = n + 1
-        return tuple(found)
-
-    below = collect(0.0, alpha)
-    above = collect(alpha, 1.0)
     q = y.denominator
-    candidates = [q * k for k in range(1, count + 1)]
-    alpha_q = Fraction(alpha) * q
-    if alpha_q.denominator == 1:
-        solutions = congruence_solutions(y.numerator, q, alpha_q.numerator, count)
-        candidates += [n for n, _ in solutions]
-    undefined = tuple(n for n in sorted(candidates)[:count] if n <= cap)
+
+    def period(lo: float, hi: float) -> list[int]:
+        """The region's indices in [1, q], at most `count` of them, once
+        its count-th index is known to be at most cap."""
+        found, n = [], 0
+        while len(found) < count:
+            n = find_n_in_region(y, lo, hi, n_min=n + 1, cap=cap)
+            if n > q:
+                break
+            found.append(n)
+        [last] = _recurring(found, q, [count - 1])
+        if last > cap:
+            raise SearchCapExceeded(
+                f"the first {count} n with fractional part of n*{y} in ({lo}, {hi}) "
+                f"end at n = {last}, above cap = {cap}")
+        return found
+
+    periods = [period(0.0, alpha), period(alpha, 1.0)]
+    below, above = (tuple(zip(_recurring(ns, q, range(count)), cycle([n * y % 1 for n in ns])))
+                    for ns in periods)
+    # frac(n*y) = 0 at n = q; it is alpha at one n in [1, q - 1] when j = alpha*q
+    # is an integer, the n with n*p = j (mod q)
+    j = Fraction(alpha) * q
+    undefined = [j.numerator * pow(y.numerator, -1, q) % q, q] if j.denominator == 1 else [q]
     return WitnessTable(
         below=below,
         above=above,
-        undefined_at=undefined,
+        undefined_at=tuple(n for n in _recurring(undefined, q, range(count)) if n <= cap),
         angle1=t1.value_at(x),
         angle2=t2.value_at(x),
     )

@@ -11,7 +11,6 @@ import numpy as np
 
 from lamconvex import (
     StepLaminate,
-    congruence_solutions,
     convergence_table,
     convex_combine,
     interleave,
@@ -145,21 +144,29 @@ def test_oscillation_witnesses():
           f"undefined {list(table.undefined_at)}, {elapsed:.2f}s)")
 
 
-def test_bezout_certificates():
+def test_undefined_index_certificates():
+    # alpha = j/q with 2 <= j <= q - 2, so both witness regions hold a
+    # residue; the interleaving is undefined where n*p mod q is 0 or j
     start = time.perf_counter()
     checked = 0
-    for q in range(2, 51):
+    for q in range(4, 51):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            for j in range(1, q):
-                for n, i in congruence_solutions(p, q, j, 3):
-                    assert n * p - q * i == j
-                    assert 0 <= i <= n - 1
+            x = Fraction(2 * p, q) - 1
+            # the n <= 3q with each residue n*p mod q, in increasing order
+            with_residue = [[] for _ in range(q)]
+            for n in range(1, 3 * q + 1):
+                with_residue[n * p % q].append(n)
+            for j in range(2, q - 1):
+                table = oscillation_witness(T0, T90, Fraction(j, q), x, 3)
+                assert list(table.undefined_at) == sorted(with_residue[0] + with_residue[j])[:3]
+                for n in table.undefined_at:
+                    assert n * p % q in (0, j)
                     checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s over budget"
-    print(f"\n[acceptance] bezout-certificates: PASS "
+    print(f"\n[acceptance] undefined-index-certificates: PASS "
           f"({checked} certificates, {elapsed:.2f}s)")
 
 

@@ -12,7 +12,6 @@ from lamconvex import (
     SearchCapExceeded,
     StepLaminate,
     blend,
-    congruence_solutions,
     convergence_table,
     find_n_in_region,
     interleave,
@@ -276,68 +275,69 @@ class TestInterleaveValue:
                 checked += 1
 
 
-def brute_force_bezout(p, q):
-    for n in range(1, q + 1):
-        if (n * p) % q == 1:
-            return n, (n * p - 1) // q
-    raise AssertionError("unreachable for coprime p, q")
+def scan_undefined(p, q, j, count, cap):
+    """Reference: the first `count` indices n <= cap with n*p mod q in {0, j}."""
+    return tuple([n for n in range(1, cap + 1) if n * p % q in (0, j)][:count])
 
 
-class TestBezout:
-    @pytest.mark.parametrize("p,q,expected", [(1, 2, (1, 0)), (3, 7, (5, 2)), (2, 5, (3, 1))])
-    def test_examples(self, p, q, expected):
-        assert congruence_solutions(p, q, 1, 1)[0] == expected
-        assert congruence_solutions(p, q, 1, 1)[0] == brute_force_bezout(p, q)
+def undefined_at(p, q, j, count, cap=interleaving.DEFAULT_SEARCH_CAP):
+    """`undefined_at` at y = p/q with alpha = j/q, 2 <= j <= q - 2, so that
+    both regions hold a residue."""
+    x = Fraction(2 * p, q) - 1
+    return oscillation_witness(T0, T90, Fraction(j, q), x, count, cap=cap).undefined_at
+
+
+class TestUndefinedAt:
+    # n*p = j (mod q): the one n in [1, q - 1] where frac(n*y) = alpha,
+    # merged with the multiples of q
+    @pytest.mark.parametrize("p,q,j,expected", [(1, 4, 2, (2, 4, 6, 8)),
+                                                (3, 7, 5, (4, 7, 11, 14)),
+                                                (2, 5, 2, (1, 5, 6, 10))])
+    def test_examples(self, p, q, j, expected):
+        assert undefined_at(p, q, j, 4) == expected
+        assert undefined_at(p, q, j, 4) == scan_undefined(p, q, j, 4, 3 * q)
 
     def test_smallest_solution(self):
-        for q in range(2, 40):
+        for q in range(4, 40):
             for p in range(1, q):
                 if math.gcd(p, q) == 1:
-                    assert congruence_solutions(p, q, 1, 1)[0] == brute_force_bezout(p, q)
+                    for j in (2, q - 2):
+                        assert undefined_at(p, q, j, 1) == scan_undefined(p, q, j, 1, q)
 
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError, match="p = 2 and q = 4 share factor 2"):
-            congruence_solutions(2, 4, 1, 1)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError, match="need integers 0 < p < q"):
-            congruence_solutions(3, 2, 1, 1)
-
-
-class TestCongruenceSolutions:
-    def test_half_denominator(self):
-        assert congruence_solutions(1, 2, 1, 3) == [(1, 0), (3, 1), (5, 2)]
+    def test_half_alpha(self):
+        # y = 3/8 and alpha = 1/2: 3n = 4 (mod 8) at n = 4, so every
+        # multiple of q/2 = 4
+        assert undefined_at(3, 8, 4, 4) == (4, 8, 12, 16)
 
     def test_smallest_first(self):
-        # (3, 1) solves 3*3 - 7*1 = 2 and precedes the scaled pair (10, 4)
-        assert congruence_solutions(3, 7, 2, 3) == [(3, 1), (10, 4), (17, 7)]
+        # 3*3 = 2 (mod 7): n = 3 precedes the multiple 7 and n = 10
+        assert undefined_at(3, 7, 2, 3) == (3, 7, 10)
 
-    def test_scaled_family_starts_at_product(self):
-        # the scaling argument's certificates j * (n, i), over the Bezout
-        # solutions (n, i) of n*p - q*i = 1, are among the solutions
-        n0, i0 = congruence_solutions(3, 7, 1, 1)[0]
-        scaled = [(2 * (n0 + k * 7), 2 * (i0 + k * 3)) for k in range(3)]
-        assert scaled == [(10, 4), (24, 10), (38, 16)]
-        assert set(scaled) <= set(congruence_solutions(3, 7, 2, 6))
-
-    def test_rejects_j_out_of_range(self):
-        for j in (0, 7, -1):
-            with pytest.raises(ValueError, match=r"j must lie in \[1, 6\]"):
-                congruence_solutions(3, 7, j, 1)
+    def test_scaled_family_is_among_the_alpha_indices(self):
+        # the scaling argument: 3*5 = 1 (mod 7), so 2*(5 + 7k) solves
+        # n*3 = 2 (mod 7) and lies among the indices of alpha = 2/7
+        scaled = [2 * (5 + k * 7) for k in range(3)]
+        assert scaled == [10, 24, 38]
+        assert set(scaled) <= set(undefined_at(3, 7, 2, 12))
 
     @settings(max_examples=200)
-    @given(st.integers(min_value=2, max_value=60), st.data())
-    def test_certificates(self, q, data):
+    @given(st.integers(min_value=4, max_value=60), st.data())
+    def test_matches_residue_scan(self, q, data):
         p = data.draw(st.integers(min_value=1, max_value=q - 1).filter(
             lambda v: math.gcd(v, q) == 1))
-        j = data.draw(st.integers(min_value=1, max_value=q - 1))
-        previous = 0
-        for n, i in congruence_solutions(p, q, j, 4):
-            assert n * p - q * i == j
-            assert 0 <= i <= n - 1
-            assert n > previous
-            previous = n
-            assert Fraction(n * p % q, q) == Fraction(j, q)
+        j = data.draw(st.integers(min_value=2, max_value=q - 2))
+        count = data.draw(st.integers(min_value=1, max_value=8))
+        cap = data.draw(st.integers(min_value=count, max_value=4 * q))
+        residues = [n * p % q for n in range(1, cap + 1)]
+        if min(sum(0 < r < j for r in residues), sum(r > j for r in residues)) < count:
+            # a witness region's count-th index lies above cap
+            with pytest.raises(SearchCapExceeded):
+                undefined_at(p, q, j, count, cap)
+            return
+        got = undefined_at(p, q, j, count, cap)
+        assert got == scan_undefined(p, q, j, count, cap)
+        for n in got:
+            assert n * p % q in (0, j)
 
 
 def scan_first_n(y, lo, hi, n_min):
@@ -491,13 +491,30 @@ class TestOscillationWitness:
         for n, frac in table.above:
             assert 0.5 < frac < 1.0
 
+    # six indices run past one period of a region: in the last four cases,
+    # y = 3/5, 5/12, 5/7 and 3/8, some region holds two indices in [1, q],
+    # so its six span three periods
     @pytest.mark.parametrize("x,alpha", [(Fraction(-1, 3), 0.5), (Fraction(-1, 2), 0.5),
                                          (Fraction(1, 5), 0.25), (Fraction(-1, 4), 0.25),
-                                         (Fraction(1, 4), 0.375), (Fraction(-3, 7), 0.375)])
+                                         (Fraction(1, 4), 0.375), (Fraction(-3, 7), 0.375),
+                                         (Fraction(1, 5), 0.5), (Fraction(-1, 6), 0.25),
+                                         (Fraction(3, 7), 0.375), (Fraction(-1, 4), 0.625)])
     def test_undefined_at_is_every_undefined_index(self, x, alpha):
         table = oscillation_witness(T0, T90, alpha, x, 6, cap=60)
         undefined = [n for n in range(1, 61) if interleave_value(T0, T90, alpha, n, x) is None]
         assert table.undefined_at == tuple(undefined[:6])
+        y = (x + 1) / 2
+        parts = [(n, n * y % 1) for n in range(1, 61)]
+        assert table.below == tuple((n, f) for n, f in parts if 0 < f < alpha)[:6]
+        assert table.above == tuple((n, f) for n, f in parts if alpha < f)[:6]
+
+    def test_cap_is_checked_after_one_period(self):
+        # y = 1/3: each region holds one index per period, so the 10^5-th
+        # lies near 3 * 10^5; a search per index took about 1 s
+        start = time.perf_counter()
+        with pytest.raises(SearchCapExceeded, match="end at n = 299998, above cap = 200000"):
+            oscillation_witness(T0, T90, 0.5, Fraction(-1, 3), 10**5, cap=2 * 10**5)
+        assert time.perf_counter() - start < 0.1
 
     def test_undefined_at_stops_at_cap(self):
         table = oscillation_witness(T0, T90, 0.5, Fraction(-1, 3), 4, cap=11)
